@@ -27,7 +27,7 @@ import (
 const submitBody = `{"benchmarks":["synth:blockdense:width=4,mean=500"],"runtimes":["tdm"]}`
 
 // benchServiceSubmitFirstRow measures the submit-to-first-NDJSON-row path of
-// POST /sweeps?stream=1 against a warm store: decode, grid expansion, sweep
+// POST /v1/sweeps?stream=1 against a warm store: decode, grid expansion, sweep
 // bookkeeping, a store hit, and the streaming write back — the latency floor
 // a client sees before any result arrives.
 func benchServiceSubmitFirstRow(b *testing.B, extra map[string]float64) {
@@ -38,7 +38,7 @@ func benchServiceSubmitFirstRow(b *testing.B, extra map[string]float64) {
 
 	submit := func() time.Duration {
 		start := time.Now()
-		resp, err := http.Post(ts.URL+"/sweeps?stream=1", "application/json", bytes.NewReader([]byte(submitBody)))
+		resp, err := http.Post(ts.URL+"/v1/sweeps?stream=1", "application/json", bytes.NewReader([]byte(submitBody)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func benchServiceSubmitFirstRow(b *testing.B, extra map[string]float64) {
 func benchServiceDispatchPoints(b *testing.B, extra map[string]float64) {
 	newWorker := func() *httptest.Server {
 		eng := &runner.Engine{Base: core.DefaultConfig(core.TDM), Store: runner.NewStore(), Workers: 2}
-		return httptest.NewServer(remote.WorkerHandler(eng))
+		return httptest.NewServer((&remote.Worker{Engine: eng}).Handler())
 	}
 	w1, w2 := newWorker(), newWorker()
 	defer w1.Close()
@@ -97,7 +97,7 @@ func benchServiceDispatchPoints(b *testing.B, extra map[string]float64) {
 		srv.RegisterWorker(w2.URL, remote.NewExecutor(w2.URL), 2)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		resp, err := http.Post(ts.URL+"/sweeps?stream=1", "application/json",
+		resp, err := http.Post(ts.URL+"/v1/sweeps?stream=1", "application/json",
 			bytes.NewReader([]byte(`{"benchmarks":["synth:blockdense:width=4,mean=500"],"cores":[8,16]}`)))
 		if err != nil {
 			b.Fatal(err)
@@ -220,7 +220,7 @@ func benchServiceTenantDispatch(b *testing.B, extra map[string]float64) {
 		done := make(chan error, 2)
 		for _, tenant := range []string{"heavy", "light"} {
 			go func(tenant string) {
-				resp, err := http.Post(ts.URL+"/sweeps?stream=1", "application/json",
+				resp, err := http.Post(ts.URL+"/v1/sweeps?stream=1", "application/json",
 					bytes.NewReader([]byte(fmt.Sprintf(tenantBody, tenant))))
 				if err != nil {
 					done <- err

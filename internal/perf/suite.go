@@ -83,6 +83,10 @@ func allProbes() []Probe {
 // It returns an error naming every probe that failed (a failed probe yields
 // no result; the remaining probes still run).
 func Run(rep *Report, probes []Probe, filter *regexp.Regexp, log io.Writer) error {
+	// Outside go test nothing registers the testing flags, and a probe's
+	// b.Fatal would dereference them instead of failing the probe. Init is a
+	// no-op when go test already ran it.
+	testing.Init()
 	var failed []string
 	for _, p := range probes {
 		if filter != nil && !filter.MatchString(p.Name) {
