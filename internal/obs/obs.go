@@ -251,12 +251,13 @@ func (h *Histogram) Sum() float64 {
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) of the observations by
-// linear interpolation inside the bucket holding it, assuming non-negative
-// observations (the first bucket interpolates from zero). The estimate is
-// never below the bucket's lower bound nor above its upper bound, so its
-// relative error is bounded by the bucket width; with ExpBuckets(_, factor,
-// _) that is a factor of at most `factor`. Returns 0 with no observations;
-// a quantile landing in the +Inf bucket returns the highest finite bound.
+// linear interpolation inside the bucket holding it. The estimate is never
+// below the bucket's lower bound nor above its upper bound, so its relative
+// error is bounded by the bucket width; with ExpBuckets(_, factor, _) that
+// is a factor of at most `factor`. The two open-ended buckets have no width
+// to interpolate across and return their finite bound: a quantile landing in
+// the first bucket returns the lowest bound, one landing in the +Inf bucket
+// the highest. Returns 0 with no observations.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
@@ -274,13 +275,13 @@ func (h *Histogram) Quantile(q float64) float64 {
 			continue
 		}
 		if cum+n >= rank {
-			if i == len(h.bounds) {
+			switch i {
+			case 0:
+				return h.bounds[0]
+			case len(h.bounds):
 				return h.bounds[len(h.bounds)-1]
 			}
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
+			lower := h.bounds[i-1]
 			frac := (rank - cum) / n
 			if frac < 0 {
 				frac = 0

@@ -139,6 +139,11 @@ func TestHistogramQuantileKnownValues(t *testing.T) {
 	if got := h.Quantile(0.5); got <= 2 || got > 4 {
 		t.Errorf("p50 = %v, want in (2,4]", got)
 	}
+	// p1 lands in the first bucket, which has no lower bound → clamped to
+	// the lowest bound, within the bucket factor of the 0.5 observation.
+	if got := h.Quantile(0.01); got != 1 {
+		t.Errorf("p1 = %v, want 1 (lowest bound)", got)
+	}
 	// p99 lands in the +Inf bucket → clamped to the top finite bound.
 	if got := h.Quantile(0.99); got != 8 {
 		t.Errorf("p99 = %v, want 8 (top finite bound)", got)
