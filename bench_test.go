@@ -20,6 +20,7 @@ import (
 	"repro/internal/dmu"
 	"repro/internal/experiments"
 	"repro/internal/machine"
+	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -54,7 +55,7 @@ func benchExperiment(b *testing.B, id string, opt experiments.Options) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cache each iteration so every iteration does the full
 		// set of simulations.
-		opt.Cache = experiments.NewCache()
+		opt.Cache = runner.NewStore()
 		tables, err := exp.Run(opt)
 		if err != nil {
 			b.Fatal(err)
@@ -105,7 +106,7 @@ func benchRunAll(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		// A fresh cache each iteration so every iteration does the full
 		// set of simulations.
-		opt.Cache = experiments.NewCache()
+		opt.Cache = runner.NewStore()
 		if err := experiments.RunAll(opt, io.Discard); err != nil {
 			b.Fatal(err)
 		}

@@ -120,8 +120,8 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	// the same bytes again.
 	fleetEngine := &runner.Engine{Base: core.DefaultConfig(taskrt.Software), Store: runner.NewStore()}
 	fleet := service.New(fleetEngine, 2)
-	fleet.RegisterWorker("local-a", runner.Local{Base: fleetEngine.Base}, 1)
-	fleet.RegisterWorker("local-b", runner.Local{Base: fleetEngine.Base}, 1)
+	fleet.RegisterWorker("local-a", &runner.Engine{Base: fleetEngine.Base}, 1)
+	fleet.RegisterWorker("local-b", &runner.Engine{Base: fleetEngine.Base}, 1)
 	fts := httptest.NewServer(fleet.Handler())
 	defer fts.Close()
 

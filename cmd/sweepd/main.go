@@ -50,10 +50,12 @@
 //
 //	curl -X PUT localhost:8080/v1/workers -d '{"url":"http://host3:8083","slots":4}'
 //
-// The coordinator shards every submitted grid across the fleet with a
-// pull-based queue, requeues points whose worker dies mid-flight, and
+// The coordinator gives each point of a submitted grid the next free slot
+// on any live worker, requeues points whose worker dies mid-flight, and
 // merges all results into its own content-addressed store — so the fleet
-// is crash-tolerant and warm keys are never dispatched twice.
+// is crash-tolerant and warm keys are never dispatched twice. Its own
+// engine is the standby worker: it simulates only once every registered
+// worker of a sweep has died.
 //
 // # Tiered store
 //
@@ -208,10 +210,10 @@ func main() {
 			srv.RegisterWorker(peer, newExecutor(peer), *peerSlots)
 			log.Printf("sweepd: registered worker %s", peer)
 		}
-		// Coordinators deliberately do not serve /execute: the service's
-		// own point semaphore already bounds local simulations, and a
-		// second executor pool on the same engine would let chained
-		// daemons oversubscribe -workers twofold.
+		// Coordinators deliberately do not serve /execute: a node either
+		// dispatches points or executes them, so a fleet stays one level
+		// deep. The engine's -workers bound would hold across both roles;
+		// the coordinator's engine is already its own fleet's standby.
 		mux.Handle("/", srv.Handler())
 	}
 	hs := &http.Server{Handler: mux}

@@ -49,7 +49,8 @@ type Options struct {
 	// Cache shares simulation results between experiments in the same
 	// process (and across processes when backed by a directory, see
 	// runner.NewDiskStore), keyed by the content-addressed job key. Use
-	// NewCache; a nil cache disables sharing and parallel prewarming.
+	// runner.NewStore; a nil cache disables sharing and parallel
+	// prewarming.
 	Cache *runner.Store
 	// Workers bounds the number of concurrently executing simulations
 	// during sweeps (0 means GOMAXPROCS).
@@ -62,12 +63,9 @@ func DefaultOptions() Options {
 		Machine: machine.Default(),
 		Power:   power.DefaultConfig(),
 		DMU:     dmu.DefaultConfig(),
-		Cache:   NewCache(),
+		Cache:   runner.NewStore(),
 	}
 }
-
-// NewCache creates an empty, concurrency-safe result cache.
-func NewCache() *runner.Store { return runner.NewStore() }
 
 // benchmarks resolves the benchmark list.
 func (o Options) benchmarks() ([]*workloads.Benchmark, error) {

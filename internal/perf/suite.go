@@ -324,7 +324,7 @@ func benchQuickFigure(id string) func(*testing.B, map[string]float64) {
 		opt.Benchmarks = []string{"cholesky", "dedup", "histogram"}
 		rows := 0
 		for i := 0; i < b.N; i++ {
-			opt.Cache = experiments.NewCache()
+			opt.Cache = runner.NewStore()
 			tables, err := exp.Run(opt)
 			if err != nil {
 				b.Fatal(err)

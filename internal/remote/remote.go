@@ -1,12 +1,13 @@
 // Package remote moves simulation points over HTTP: it owns both ends of
 // the wire protocol between a sweep coordinator and its worker fleet.
 //
-// A worker (sweepd -worker) mounts WorkerHandler, which accepts one encoded
-// job per POST /execute request, runs it on the worker's local engine —
-// deduplicating against the worker's own store — and returns the result as
-// JSON. Executor is the client half: it implements runner.Executor against
-// one worker, so a coordinator (or any engine via Engine.Exec) can run
-// points remotely exactly where it would have simulated them locally.
+// A worker (sweepd -worker) mounts Worker.Handler, which accepts one
+// encoded job per POST /execute request, runs it on the worker's engine —
+// deduplicating against the worker's own store, bounded by the engine's
+// Workers — and returns the result as JSON. Executor is the client half: it
+// implements runner.Executor against one worker, so a coordinator registers
+// it as one worker of its fleet, next to its own engine, the in-process
+// runner.Executor.
 //
 // Jobs travel as JSON using the existing codecs: replay programs are
 // embedded in their versioned task.MarshalProgram form, and grids are
@@ -141,9 +142,10 @@ func (wk *Worker) log() *slog.Logger {
 }
 
 // Handler serves POST /execute: one encoded job per request, executed on the
-// worker's engine, the result returned as JSON. Concurrent requests beyond
-// the engine's worker-pool size queue for an execution slot, so a coordinator
-// (or several) cannot oversubscribe the worker past its -workers setting.
+// worker's engine, the result returned as JSON. Concurrent simulations
+// beyond the engine's Workers bound queue inside the engine for an execution
+// slot, so a coordinator (or several) cannot oversubscribe the worker past
+// its -workers setting.
 //
 // Status codes classify the failure for the dispatching coordinator:
 // 400 for an undecodable job, 422 when the point itself failed (a permanent
@@ -151,7 +153,6 @@ func (wk *Worker) log() *slog.Logger {
 // otherwise. Cancelling the request cancels the simulation at its next task
 // boundary (or abandons the wait for a slot).
 func (wk *Worker) Handler() http.Handler {
-	sem := make(chan struct{}, wk.Engine.WorkerCount())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		outcome := func(o string) {
@@ -172,15 +173,6 @@ func (wk *Worker) Handler() http.Handler {
 			outcome("bad_request")
 			wk.log().Warn("execute: undecodable job", "err", err)
 			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-		case <-r.Context().Done():
-			outcome("abandoned")
-			wk.log().Info("execute: dispatcher gave up while queued",
-				"benchmark", j.Benchmark, "label", j.Label)
 			return
 		}
 		res, err := wk.Engine.RunContext(r.Context(), j)
@@ -205,12 +197,6 @@ func (wk *Worker) Handler() http.Handler {
 	})
 }
 
-// WorkerHandler is shorthand for (&Worker{Engine: engine}).Handler() — the
-// serving half with no logging or metrics wired.
-func WorkerHandler(engine *runner.Engine) http.Handler {
-	return (&Worker{Engine: engine}).Handler()
-}
-
 func writeError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -218,8 +204,8 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // Executor runs jobs on one remote sweepd worker. It implements
-// runner.Executor, so it plugs in anywhere a local execution would:
-// as Engine.Exec, or as one worker of a coordinator's fleet.
+// runner.Executor, so it plugs into a coordinator's fleet wherever the
+// coordinator's own engine would have run the point.
 type Executor struct {
 	// URL is the worker's base URL, e.g. "http://worker-3:8080".
 	URL string

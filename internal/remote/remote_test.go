@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/service"
 	"repro/internal/taskrt"
 	"repro/internal/workloads/synth"
 )
@@ -70,13 +72,16 @@ func TestJobCodecRejectsMutateAndGarbage(t *testing.T) {
 	}
 }
 
-// workerServer hosts a WorkerHandler over a real engine, as sweepd -worker
-// does.
+// workerServer hosts a Worker over a real engine, as sweepd -worker does.
 func workerServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	engine := &runner.Engine{Base: testBase(), Store: runner.NewStore()}
+	return workerServerFor(t, &runner.Engine{Base: testBase(), Store: runner.NewStore()})
+}
+
+func workerServerFor(t *testing.T, engine *runner.Engine) *httptest.Server {
+	t.Helper()
 	mux := http.NewServeMux()
-	mux.Handle("POST /execute", WorkerHandler(engine))
+	mux.Handle("POST /execute", (&Worker{Engine: engine}).Handler())
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -88,7 +93,7 @@ func TestExecutorAgainstWorker(t *testing.T) {
 	ts := workerServer(t)
 	job := runner.Job{Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO}
 
-	want, err := runner.Local{Base: testBase()}.Execute(context.Background(), job)
+	want, err := job.RunContext(context.Background(), testBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,32 +212,55 @@ func TestExecutorResultFailuresKeepCause(t *testing.T) {
 	}
 }
 
-// TestEngineWithRemoteExecutor: the whole engine machinery (store dedup,
-// RunAll assembly) works unchanged over a remote executor.
-func TestEngineWithRemoteExecutor(t *testing.T) {
-	ts := workerServer(t)
-	jobs := []runner.Job{
-		{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO},
-		{Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO},
-		// Alias of the first point: must dedup, not re-dispatch.
-		{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO, Label: "alias"},
+// TestCoordinatorWithRemoteExecutor: a coordinator dispatching to a
+// registered remote worker reproduces the local simulation, and aliased
+// points dedup through the coordinator's store instead of re-dispatching.
+func TestCoordinatorWithRemoteExecutor(t *testing.T) {
+	// A storeless worker re-simulates every dispatch, so its exec count is
+	// the coordinator's dispatch count.
+	workerEngine := &runner.Engine{Base: testBase(), Metrics: runner.NewEngineMetrics(obs.NewRegistry())}
+	ts := workerServerFor(t, workerEngine)
+	srv := service.New(&runner.Engine{Base: testBase(), Store: runner.NewStore()}, 2)
+	srv.RegisterWorker(ts.URL, NewExecutor(ts.URL), 2)
+	coord := httptest.NewServer(srv.Handler())
+	defer coord.Close()
+
+	// The benchmark is listed twice: points 2 and 3 alias points 0 and 1.
+	req := service.SubmitRequest{
+		Benchmarks: []string{"histogram", "histogram"},
+		Runtimes:   []string{"software", "tdm"},
 	}
-	local := &runner.Engine{Base: testBase(), Store: runner.NewStore()}
-	want, err := local.RunAll(jobs)
+	got, err := (&Client{URL: coord.URL}).Sweep(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &runner.Engine{Base: testBase(), Store: runner.NewStore(), Exec: NewExecutor(ts.URL)}
-	got, err := e.RunAll(jobs)
+	jobs := runner.Grid{
+		Benchmarks: req.Benchmarks,
+		Runtimes:   []taskrt.Kind{taskrt.Software, taskrt.TDM},
+	}.Jobs()
+	want, err := (&runner.Engine{Base: testBase(), Store: runner.NewStore()}).RunAll(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jobs {
-		if got[i].Cycles != want[i].Cycles {
-			t.Errorf("point %d: remote %d cycles, local %d", i, got[i].Cycles, want[i].Cycles)
+	if len(got) != len(jobs) {
+		t.Fatalf("sweep streamed %d points, want %d", len(got), len(jobs))
+	}
+	byIndex := make(map[int]service.Point)
+	for _, p := range got {
+		if p.Error != "" {
+			t.Fatalf("point %d failed: %s", p.Index, p.Error)
+		}
+		if p.Cycles != want[p.Index].Cycles {
+			t.Errorf("point %d: remote %d cycles, local %d", p.Index, p.Cycles, want[p.Index].Cycles)
+		}
+		byIndex[p.Index] = p
+	}
+	for i := 0; i < 2; i++ {
+		if byIndex[i].Key != byIndex[i+2].Key {
+			t.Errorf("aliased points %d and %d have different keys", i, i+2)
 		}
 	}
-	if got[0] != got[2] {
-		t.Error("aliased points not deduplicated through the remote executor")
+	if n := workerEngine.Metrics.Execs.Value(); n != 2 {
+		t.Errorf("worker simulated %v points, want 2 (aliases must dedup, not re-dispatch)", n)
 	}
 }

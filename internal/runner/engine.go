@@ -13,7 +13,9 @@ import (
 )
 
 // Engine executes jobs against a base configuration, memoizing results in an
-// optional Store and fanning independent points out over a worker pool.
+// optional Store and fanning independent points out over a worker pool. It
+// is the in-process Executor: Execute simulates one point, bounded by
+// Workers.
 type Engine struct {
 	// Base supplies the machine, DMU and power models shared by every job.
 	// Its Runtime and Scheduler fields are overridden per job.
@@ -21,15 +23,12 @@ type Engine struct {
 	// Store caches results across jobs and sweeps. nil disables caching
 	// (each RunAll call still deduplicates its own job set).
 	Store *Store
-	// Workers bounds the number of concurrently executing simulations.
-	// Zero or negative means GOMAXPROCS.
+	// Workers bounds the number of concurrently executing simulations
+	// across every caller of the engine: RunAll's pool, a sweep service's
+	// sweeps and a fleet worker's requests all wait for one of Workers
+	// execution slots in Execute. Zero or negative means GOMAXPROCS. Set it
+	// before the engine is first used.
 	Workers int
-	// Exec overrides how individual points execute. nil simulates
-	// in-process against Base (equivalent to Local{Base}); a remote
-	// executor runs the point elsewhere. Store memoization and
-	// singleflight wrap whichever executor is configured, so warm keys
-	// never reach the executor.
-	Exec Executor
 	// Log receives one progress line per actually executed simulation
 	// (cache hits are silent); nil silences progress output.
 	Log io.Writer
@@ -37,7 +36,9 @@ type Engine struct {
 	// EngineMetrics). Set it before the engine is shared.
 	Metrics *EngineMetrics
 
-	logMu sync.Mutex
+	logMu     sync.Mutex
+	slotsOnce sync.Once
+	slots     chan struct{} // execution slots, sized by Workers on first use
 }
 
 // Key returns the content-addressed key of a job under the engine's base
@@ -76,27 +77,30 @@ func (e *Engine) Run(j Job) (*core.Result, error) {
 // another request's in-flight computation of the same point stops waiting.
 func (e *Engine) RunContext(ctx context.Context, j Job) (*core.Result, error) {
 	if e.Store == nil {
-		return e.exec(ctx, j)
+		return e.Execute(ctx, j)
 	}
 	return e.runKeyed(ctx, j, e.Key(j))
 }
 
-// exec runs a job unconditionally through the configured executor, logging
-// one progress line and recording execution latency and failure class.
-func (e *Engine) exec(ctx context.Context, j Job) (*core.Result, error) {
+// Execute simulates a job in-process against Base, bypassing the store. It
+// first waits for one of the engine's Workers execution slots (returning
+// the context's cause if ctx ends first), then logs one progress line and
+// records execution latency and failure class.
+func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
+	e.slotsOnce.Do(func() { e.slots = make(chan struct{}, e.workers()) })
+	select {
+	case e.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, context.Cause(ctx)
+	}
+	defer func() { <-e.slots }()
 	e.logf("running %-14s %-16s sched=%-9s %s", j.Benchmark, j.Runtime, j.Scheduler, j.Label)
 	var start time.Time
 	if e.Metrics != nil {
 		start = time.Now()
 		e.Metrics.Execs.Inc()
 	}
-	var res *core.Result
-	var err error
-	if e.Exec != nil {
-		res, err = e.Exec.Execute(ctx, j)
-	} else {
-		res, err = j.RunContext(ctx, e.Base)
-	}
+	res, err := j.RunContext(ctx, e.Base)
 	if e.Metrics != nil {
 		e.Metrics.ExecSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -109,7 +113,7 @@ func (e *Engine) exec(ctx context.Context, j Job) (*core.Result, error) {
 // runKeyed executes a job through the store under an already-derived key.
 func (e *Engine) runKeyed(ctx context.Context, j Job, key string) (*core.Result, error) {
 	res, _, err := e.Store.Do(ctx, key, func(ctx context.Context) (*core.Result, error) {
-		return e.exec(ctx, j)
+		return e.Execute(ctx, j)
 	})
 	return res, err
 }
@@ -168,7 +172,7 @@ func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result,
 				var res *core.Result
 				var err error
 				if e.Store == nil {
-					res, err = e.exec(ctx, unique[i])
+					res, err = e.Execute(ctx, unique[i])
 				} else {
 					res, err = e.runKeyed(ctx, unique[i], keys[i])
 				}

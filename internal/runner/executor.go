@@ -7,10 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-// Executor runs one simulation point and returns its result. The engine's
-// default is in-process execution (Local); internal/remote implements the
-// same interface over HTTP so a coordinator can run points on a fleet of
-// sweepd workers.
+// Executor runs one simulation point and returns its result. *Engine is the
+// in-process executor; internal/remote implements the same interface over
+// HTTP so a coordinator can run points on a fleet of sweepd workers.
 //
 // Execute must be safe for concurrent use. A failure of the execution
 // channel itself — as opposed to the point being broken — should be wrapped
@@ -19,16 +18,7 @@ type Executor interface {
 	Execute(ctx context.Context, j Job) (*core.Result, error)
 }
 
-// Local executes jobs in-process against a base configuration. It is the
-// executor equivalent of the engine's default path.
-type Local struct {
-	Base core.Config
-}
-
-// Execute simulates the job under the local base configuration.
-func (l Local) Execute(ctx context.Context, j Job) (*core.Result, error) {
-	return j.RunContext(ctx, l.Base)
-}
+var _ Executor = (*Engine)(nil)
 
 // transientError marks an executor failure as retryable: the execution
 // channel failed (worker died, connection dropped), not the point itself.

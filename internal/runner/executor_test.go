@@ -7,67 +7,77 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/taskrt"
 )
 
-// countingExecutor returns a canned result and counts invocations.
-type countingExecutor struct {
-	calls atomic.Int32
-	res   *core.Result
-	err   error
-}
-
-func (e *countingExecutor) Execute(context.Context, Job) (*core.Result, error) {
-	e.calls.Add(1)
-	return e.res, e.err
-}
-
-// TestEngineExecutorOverride: with Exec set the engine never simulates
-// in-process, and the store still memoizes whatever the executor returns.
-func TestEngineExecutorOverride(t *testing.T) {
-	job := Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO}
-	local := &Engine{Base: testBase(), Store: NewStore()}
-	want, err := local.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	exec := &countingExecutor{res: want}
-	e := &Engine{Base: testBase(), Store: NewStore(), Exec: exec}
-	got, err := e.Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Error("engine did not return the executor's result")
-	}
-	if _, err := e.Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if n := exec.calls.Load(); n != 1 {
-		t.Errorf("executor ran %d times, want 1 (second run must be a cache hit)", n)
-	}
-}
-
-// TestLocalExecutorMatchesEngine: Local is the executor form of the
-// engine's default path.
-func TestLocalExecutorMatchesEngine(t *testing.T) {
+// TestEngineExecuteMatchesRun: Execute, the engine's executor form,
+// simulates the same point as Run but bypasses the store.
+func TestEngineExecuteMatchesRun(t *testing.T) {
 	job := Job{Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO}
-	direct, err := (&Engine{Base: testBase()}).Run(job)
+	e := &Engine{Base: testBase(), Store: NewStore()}
+	viaRun, err := e.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLocal, err := Local{Base: testBase()}.Execute(context.Background(), job)
+	viaExecute, err := e.Execute(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaLocal.Cycles != direct.Cycles || viaLocal.Energy.EDP != direct.Energy.EDP {
-		t.Errorf("Local executor diverged from the engine: %d vs %d cycles", viaLocal.Cycles, direct.Cycles)
+	if viaExecute.Cycles != viaRun.Cycles || viaExecute.Energy.EDP != viaRun.Energy.EDP {
+		t.Errorf("Execute diverged from Run: %d vs %d cycles", viaExecute.Cycles, viaRun.Cycles)
+	}
+	if viaExecute == viaRun {
+		t.Error("Execute returned the stored result instead of simulating")
+	}
+}
+
+// TestEngineExecuteBoundsWorkers: with Workers 1, a second concurrent
+// Execute waits for the first's execution slot and gives up with its
+// context's cause, never starting a simulation.
+func TestEngineExecuteBoundsWorkers(t *testing.T) {
+	e := &Engine{Base: testBase(), Workers: 1, Metrics: NewEngineMetrics(obs.NewRegistry())}
+	started, release := make(chan struct{}), make(chan struct{})
+	// Mutate runs inside the simulation, after the slot is taken, so it
+	// holds the slot until released.
+	long := Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO,
+		Mutate: func(*core.Config) {
+			close(started)
+			<-release
+		}}
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.Execute(context.Background(), long)
+		first <- err
+	}()
+	<-started
+
+	cause := errors.New("gave up waiting for a slot")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	time.AfterFunc(20*time.Millisecond, func() { cancel(cause) })
+	_, err := e.Execute(ctx, Job{Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO})
+	if !errors.Is(err, cause) {
+		t.Errorf("waiting Execute returned %v, want its context's cause", err)
+	}
+	if n := e.Metrics.Execs.Value(); n != 1 {
+		t.Errorf("runner_execs_total = %v while one slot was held, want 1", n)
+	}
+
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	// The released slot serves the next caller.
+	if _, err := e.Execute(context.Background(), Job{Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO}); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.Metrics.Execs.Value(); n != 2 {
+		t.Errorf("runner_execs_total = %v after two executions, want 2", n)
 	}
 }
 

@@ -57,9 +57,8 @@ func RegisterStoreGauges(reg *obs.Registry, s *Store) {
 	})
 }
 
-// EngineMetrics instruments job execution through an Engine (local
-// simulation or a remote executor). A nil Metrics field on the engine skips
-// instrumentation.
+// EngineMetrics instruments the simulations an Engine executes. A nil
+// Metrics field on the engine skips instrumentation.
 type EngineMetrics struct {
 	// Execs counts jobs that actually executed (cache hits are not execs).
 	Execs *obs.Counter

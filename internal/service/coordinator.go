@@ -14,40 +14,47 @@ import (
 	"repro/internal/runner"
 )
 
-// The coordinator half of the service: when workers are registered (via the
-// -peers flag or PUT /workers), a submitted sweep is sharded across the
-// fleet instead of simulated in-process. Dispatch is pull-based — each
-// worker slot pulls the next point off a per-sweep queue, so fast workers
-// naturally take more points — and every result funnels through the
-// coordinator's content-addressed store: warm keys are never dispatched,
-// and completed points persist on the coordinator even when the worker that
-// computed them dies a moment later.
+// Every sweep point runs through one launch loop, runPoints: it pulls a
+// point, takes the point's tenant grant, takes a free slot on a live worker
+// and runs the point on that worker in its own goroutine. Workers are the
+// fleet registered via the -peers flag or PUT /workers, followed by the
+// coordinator's own engine as the worker named "local". The local worker is
+// the standby: it takes a point only while none of the sweep's registered
+// workers is alive, so it runs every point when no worker is registered and
+// a sweep's leftovers once its whole fleet has died. Every result funnels
+// through the coordinator's content-addressed store: warm keys are never
+// dispatched, and completed points persist on the coordinator even when the
+// worker that computed them dies a moment later.
 //
 // Failure semantics: a transport failure (worker crashed, connection
 // dropped) requeues the point for another worker, while a failure of the
-// point itself is recorded as that point's error without retry. A worker
-// that fails maxWorkerFails consecutive dispatches is considered dead for
-// the remainder of the sweep; if every worker dies, the coordinator
-// finishes the leftover points locally so an unattended sweep still
-// completes. The per-point redispatch cap scales with the fleet
-// (maxWorkerFails per worker, plus slack), so a point can only exhaust its
-// attempts under pathological flakiness, never merely because the fleet
-// shrank.
+// point itself is recorded as that point's error without retry. A
+// registered worker that fails maxWorkerFails consecutive dispatches is
+// considered dead for the remainder of the sweep. The per-point redispatch
+// cap scales with the fleet (maxWorkerFails per worker, plus slack), so a
+// point can only exhaust its attempts under pathological flakiness, never
+// merely because the fleet shrank.
 
 const (
 	// defaultWorkerSlots is how many points are dispatched concurrently to
 	// a worker that registered without an explicit slot count.
 	defaultWorkerSlots = 4
-	// maxWorkerSlots caps a registration's slot count: each slot is a
-	// dispatch goroutine per running sweep, so an unbounded value would
-	// let one PUT /workers request exhaust the coordinator.
+	// maxWorkerSlots caps a registration's slot count: each slot lets
+	// every running sweep keep one more point goroutine in flight, so an
+	// unbounded value would let one PUT /workers request exhaust the
+	// coordinator.
 	maxWorkerSlots = 256
 	// maxWorkerFails is how many consecutive transport failures mark a
 	// worker dead for the rest of the sweep.
 	maxWorkerFails = 3
 )
 
-// worker is one registered fleet member.
+// localWorker names the coordinator's own engine in dispatch metrics and
+// logs. It is never listed among the registered workers.
+const localWorker = "local"
+
+// worker is one execution target: a registered fleet member, or the
+// coordinator's own engine as the local standby.
 type worker struct {
 	name  string
 	exec  runner.Executor
@@ -91,13 +98,13 @@ func (w *worker) info() WorkerInfo {
 }
 
 // RegisterWorker adds (or replaces, by name) a fleet worker. Sweeps
-// submitted after registration shard across the fleet; sweeps already
+// submitted after registration dispatch to the fleet; sweeps already
 // running keep the fleet snapshot they started with. slots <= 0 uses
 // defaultWorkerSlots; values beyond maxWorkerSlots are clamped.
 //
 // Registration also grows the tenant dispatcher's grant pool by the
 // worker's slots (replacement adjusts by the slot delta): grant capacity
-// always covers the service semaphore plus every registered slot, so the
+// always covers the local worker's slots plus every registered slot, so the
 // dispatcher arbitrates tenants without capping fleet throughput.
 func (s *Server) RegisterWorker(name string, exec runner.Executor, slots int) {
 	if slots <= 0 {
@@ -119,7 +126,7 @@ func (s *Server) RegisterWorker(name string, exec runner.Executor, slots int) {
 		fleetSlots += w.slots
 	}
 	s.mu.Unlock()
-	s.disp.setCapacity(cap(s.sem) + fleetSlots)
+	s.disp.setCapacity(s.local.slots + fleetSlots)
 }
 
 // Workers lists the registered fleet in registration order.
@@ -133,8 +140,8 @@ func (s *Server) Workers() []WorkerInfo {
 	return out
 }
 
-// fleetSnapshot returns the current workers; a sweep dispatches over the
-// snapshot taken at its start.
+// fleetSnapshot returns the registered workers in registration order; a
+// sweep dispatches over the snapshot taken at its start.
 func (s *Server) fleetSnapshot() []*worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -192,17 +199,94 @@ type pointTask struct {
 	attempts int
 }
 
-// runSharded executes the given jobs of a sweep by pulling points off a
-// shared queue from every worker slot (exhaustive sweeps pass every index;
-// search rungs pass their batch). The queue is buffered to the batch size,
-// so a requeue never blocks: at most len(idxs) tasks exist at any time.
-func (s *Server) runSharded(ctx context.Context, sw *sweep, workers []*worker, idxs []int) {
+// lane is one worker as one runPoints call sees it: the points it has in
+// flight on the worker and the worker's consecutive transport failures.
+// Worker death is thus tracked per sweep (per rung of a search), so a
+// worker that died during one sweep is retried fresh by the next.
+type lane struct {
+	*worker
+	busy  int // guarded by lanes.mu
+	fails atomic.Int32
+}
+
+// lanes holds a sweep's slots: one lane per registered worker of its fleet
+// snapshot, plus the local standby.
+type lanes struct {
+	mu    sync.Mutex
+	fleet []*lane
+	local *lane
+	// wake holds a token whenever a slot freed since the launcher last
+	// looked, so the launcher can wait for one without polling.
+	wake chan struct{}
+}
+
+// take reserves a free slot on a live worker, waiting for one to free up; it
+// returns nil if ctx ends first. Registered workers are tried in
+// registration order. The local worker takes a point only while no
+// registered worker is alive.
+func (ls *lanes) take(ctx context.Context) *lane {
+	for {
+		if l := ls.pick(); l != nil {
+			return l
+		}
+		select {
+		case <-ls.wake:
+		case <-ctx.Done():
+			return nil
+		}
+	}
+}
+
+func (ls *lanes) pick() *lane {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	standby := true
+	for _, l := range ls.fleet {
+		if l.fails.Load() >= maxWorkerFails {
+			continue // dead for this sweep
+		}
+		standby = false
+		if l.busy < l.slots {
+			l.busy++
+			return l
+		}
+	}
+	if standby && ls.local.busy < ls.local.slots {
+		ls.local.busy++
+		return ls.local
+	}
+	return nil
+}
+
+// put frees a slot taken by take and wakes the launcher.
+func (ls *lanes) put(l *lane) {
+	ls.mu.Lock()
+	l.busy--
+	ls.mu.Unlock()
+	select {
+	case ls.wake <- struct{}{}:
+	default:
+	}
+}
+
+// runPoints executes the given jobs of a sweep (exhaustive sweeps pass every
+// index; search rungs pass their batch) over the fleet snapshot and the
+// local standby. The launch loop pulls a point, takes the point's tenant
+// grant — under contention the dispatcher decides whose point launches next
+// — then a free slot on a live worker, and runs the point in its own
+// goroutine. Grant before slot, one point at a time: a sweep's next grant
+// request waits in the dispatcher while its current points run. The queue is
+// buffered to the batch size, so a requeue never blocks: at most len(idxs)
+// tasks exist at any time. A cancelled sweep stops launching at once; its
+// unstarted points stay unreported.
+func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs []int) {
+	if len(idxs) == 0 {
+		return
+	}
 	queue := make(chan pointTask, len(idxs))
 	for _, i := range idxs {
 		queue <- pointTask{idx: i}
 	}
-	s.log().Info("sweep sharded across fleet",
-		"sweep", sw.id, "jobs", len(idxs), "workers", len(workers))
 	var pending atomic.Int64
 	pending.Store(int64(len(idxs)))
 	done := make(chan struct{})
@@ -212,73 +296,52 @@ func (s *Server) runSharded(ctx context.Context, sw *sweep, workers []*worker, i
 			close(done)
 		}
 	}
+	ls := &lanes{local: &lane{worker: s.local}, wake: make(chan struct{}, 1)}
+	for _, w := range fleet {
+		ls.fleet = append(ls.fleet, &lane{worker: w})
+	}
 
 	// A point bounces between workers on transport failures; every bounce
 	// costs its worker one consecutive-failure credit, so fleet-wide
 	// bounces are bounded by maxWorkerFails per worker. The cap is only a
 	// backstop against pathological flakiness (a worker that stays healthy
 	// while one specific point's dispatches keep failing).
-	attemptCap := maxWorkerFails*len(workers) + 2
+	attemptCap := maxWorkerFails*len(fleet) + 2
 
 	var wg sync.WaitGroup
-	for _, w := range workers {
-		// Consecutive transport failures are tracked per sweep, so a
-		// worker that died during one sweep is retried fresh by the next.
-		fails := new(atomic.Int32)
-		slots := w.slots
-		if slots > len(idxs) {
-			// More slots than points would only idle goroutines.
-			slots = len(idxs)
+	defer wg.Wait()
+	for {
+		var t pointTask
+		select {
+		case t = <-queue:
+		case <-done:
+			return
+		case <-ctx.Done():
+			return
 		}
-		for slot := 0; slot < slots; slot++ {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				for {
-					if fails.Load() >= maxWorkerFails {
-						return // worker is dead for this sweep
-					}
-					select {
-					case <-ctx.Done():
-						return
-					case <-done:
-						return
-					case t := <-queue:
-						// The pulled point executes under a tenant grant, so
-						// sweeps contending for the fleet drain in proportion
-						// to their tenants' weights. Requeue the point if the
-						// sweep dies while this slot waits its tenant's turn.
-						g, ok := s.disp.acquire(ctx, sw.tenant, done)
-						if !ok {
-							queue <- t
-							return
-						}
-						s.dispatchPoint(ctx, sw, w, fails, t, attemptCap, queue, settle)
-						s.disp.release(g)
-					}
-				}
-			}(w)
+		g, ok := s.disp.acquire(ctx, sw.tenant)
+		if !ok {
+			return
 		}
+		l := ls.take(ctx)
+		if l == nil {
+			s.disp.release(g)
+			return
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.disp.release(g)
+			defer ls.put(l)
+			s.dispatchPoint(ctx, sw, l, t, attemptCap, queue, settle)
+		}()
 	}
-	wg.Wait()
-
-	if ctx.Err() != nil {
-		return // cancelled: unstarted points stay unreported, like a local sweep
-	}
-	// Every worker slot has exited with points still queued: the whole
-	// fleet died (or kept bouncing the points). Finish locally — the
-	// coordinator can always simulate — so an unattended sweep completes.
-	if len(queue) > 0 {
-		s.log().Warn("fleet exhausted; finishing sweep locally",
-			"sweep", sw.id, "remaining", len(queue))
-	}
-	s.runQueueLocal(ctx, sw, queue, settle)
 }
 
 // dispatchPoint runs one pulled point on a worker through the coordinator's
 // store: warm keys settle without a dispatch, results persist on the
 // coordinator, and concurrent requests for one key share one dispatch.
-func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, w *worker, fails *atomic.Int32,
+func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 	t pointTask, attemptCap int, queue chan<- pointTask, settle func(Point, *core.Result)) {
 	j := sw.jobs[t.idx]
 	key := s.engine.Key(j)
@@ -288,8 +351,8 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, w *worker, fails 
 	dispatched := false
 	exec := func(ctx context.Context) (*core.Result, error) {
 		dispatched = true
-		s.met.workerDispatched.With(w.name).Inc()
-		return w.exec.Execute(ctx, j)
+		s.met.workerDispatched.With(l.name).Inc()
+		return l.exec.Execute(ctx, j)
 	}
 	var res *core.Result
 	var err error
@@ -301,75 +364,40 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, w *worker, fails 
 	switch {
 	case err == nil:
 		if dispatched {
-			if fails.Swap(0) >= maxWorkerFails {
-				s.met.workerHealth.With(w.name, "healthy").Inc()
-				s.log().Info("worker recovered", "sweep", sw.id, "worker", w.name)
+			if l.fails.Swap(0) >= maxWorkerFails {
+				s.met.workerHealth.With(l.name, "healthy").Inc()
+				s.log().Info("worker recovered", "sweep", sw.id, "worker", l.name)
 			}
-			w.points.Add(1)
+			l.points.Add(1)
 		}
 		settle(pointOf(t.idx, j, key, s.engine.Base, res, nil, false), res)
 	case isCancelled(ctx, err):
 		settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, true), nil)
 	case runner.IsTransient(err):
 		if dispatched {
-			s.met.workerFailed.With(w.name).Inc()
-			if fails.Add(1) == maxWorkerFails {
-				s.met.workerHealth.With(w.name, "dead").Inc()
+			s.met.workerFailed.With(l.name).Inc()
+			if l.fails.Add(1) == maxWorkerFails {
+				s.met.workerHealth.With(l.name, "dead").Inc()
 				s.log().Warn("worker marked dead for sweep",
-					"sweep", sw.id, "worker", w.name, "err", err)
+					"sweep", sw.id, "worker", l.name, "err", err)
 			}
-			w.noteErr(err, s.now())
+			l.noteErr(err, s.now())
 		}
 		if t.attempts+1 >= attemptCap {
 			err = fmt.Errorf("point failed %d dispatch attempts, last: %w", t.attempts+1, err)
 			settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, false), nil)
 			return
 		}
-		s.met.workerRequeued.With(w.name).Inc()
+		s.met.workerRequeued.With(l.name).Inc()
 		s.log().Info("point requeued after transport failure",
-			"sweep", sw.id, "worker", w.name, "point", t.idx, "attempts", t.attempts+1)
+			"sweep", sw.id, "worker", l.name, "point", t.idx, "attempts", t.attempts+1)
 		queue <- pointTask{idx: t.idx, attempts: t.attempts + 1}
 	default:
 		// The point itself failed; another worker would fail it the same
 		// way.
 		if dispatched {
-			s.met.workerFailed.With(w.name).Inc()
+			s.met.workerFailed.With(l.name).Inc()
 		}
 		settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, false), nil)
-	}
-}
-
-// runQueueLocal drains whatever the fleet left behind through the
-// coordinator's own engine, bounded by the service point semaphore.
-func (s *Server) runQueueLocal(ctx context.Context, sw *sweep, queue <-chan pointTask, settle func(Point, *core.Result)) {
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	for {
-		var t pointTask
-		select {
-		case t = <-queue:
-		default:
-			return
-		}
-		g, ok := s.disp.acquire(ctx, sw.tenant, nil)
-		if !ok {
-			return
-		}
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			s.disp.release(g)
-			return
-		}
-		wg.Add(1)
-		go func(t pointTask) {
-			defer wg.Done()
-			defer s.disp.release(g)
-			defer func() { <-s.sem }()
-			j := sw.jobs[t.idx]
-			key := s.engine.Key(j)
-			res, err := s.engine.RunContext(ctx, j)
-			settle(pointOf(t.idx, j, key, s.engine.Base, res, err, isCancelled(ctx, err)), res)
-		}(t)
 	}
 }

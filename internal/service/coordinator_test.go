@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -21,8 +22,8 @@ import (
 // after a number of executions.
 type fakeWorker struct {
 	base core.Config
-	// delay throttles each execution so pull-based sharding spreads points
-	// across workers deterministically enough to assert on.
+	// delay throttles each execution so dispatch spreads points across
+	// workers deterministically enough to assert on.
 	delay time.Duration
 
 	mu       sync.Mutex
@@ -43,7 +44,7 @@ func (f *fakeWorker) Execute(ctx context.Context, j runner.Job) (*core.Result, e
 	if f.delay > 0 {
 		time.Sleep(f.delay)
 	}
-	return runner.Local{Base: f.base}.Execute(ctx, j)
+	return j.RunContext(ctx, f.base)
 }
 
 func (f *fakeWorker) count() int {
@@ -204,6 +205,93 @@ func TestAllWorkersDeadFallsBackLocal(t *testing.T) {
 	}
 	if wa.count() != 0 || wb.count() != 0 {
 		t.Errorf("dead workers executed points: a=%d b=%d", wa.count(), wb.count())
+	}
+}
+
+// TestLocalWorkerStandsBy: while a registered worker is alive, the
+// coordinator's own engine runs nothing, and the local worker appears in
+// neither the fleet listing nor the healthz worker count.
+func TestLocalWorkerStandsBy(t *testing.T) {
+	srv, ts := testServer(t, nil)
+	base := core.DefaultConfig(taskrt.Software)
+	base.Machine = base.Machine.WithCores(8)
+	w := &fakeWorker{base: base, dieAfter: -1, delay: 5 * time.Millisecond}
+	srv.RegisterWorker("http://only", w, 1)
+
+	resp := postJSON(t, ts.URL+"/v1/sweeps", shardGridBody)
+	sub := decode[SubmitResponse](t, resp.Body)
+	resp.Body.Close()
+	st := waitState(t, ts.URL+"/v1/sweeps/"+sub.ID)
+	if st.State != StateDone || st.Completed != 8 {
+		t.Fatalf("sweep = %+v", st)
+	}
+	if w.count() != 8 {
+		t.Errorf("registered worker executed %d points, want all 8", w.count())
+	}
+	if n := srv.engine.Metrics.Execs.Value(); n != 0 {
+		t.Errorf("coordinator engine simulated %v points beside a live worker, want 0", n)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/workers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos := decode[[]WorkerInfo](t, resp.Body)
+	resp.Body.Close()
+	if len(infos) != 1 || infos[0].Name != "http://only" {
+		t.Errorf("worker listing = %+v, want only the registered worker", infos)
+	}
+	resp, err = http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health := decode[map[string]any](t, resp.Body)
+	resp.Body.Close()
+	if health["workers"] != 1.0 {
+		t.Errorf("healthz workers = %v, want 1", health["workers"])
+	}
+}
+
+// TestDeadFleetConcurrentSweepsFinishLocally: with every registered worker
+// dead, two sweeps running at once both finish on the local worker, whose
+// dispatches count under worker="local".
+func TestDeadFleetConcurrentSweepsFinishLocally(t *testing.T) {
+	srv, ts := testServer(t, nil)
+	dead := workerFunc(func(context.Context, runner.Job) (*core.Result, error) {
+		// Fail slowly, so both sweeps are still bouncing points off the
+		// dead worker when the other one starts.
+		time.Sleep(20 * time.Millisecond)
+		return nil, runner.Transient(errors.New("worker killed"))
+	})
+	srv.RegisterWorker("http://dead", dead, 2)
+
+	var ids []string
+	for _, bench := range []string{"histogram", "fluidanimate"} {
+		resp := postJSON(t, ts.URL+"/v1/sweeps", `{"benchmarks":["`+bench+`"],"runtimes":["software","tdm"]}`)
+		sub := decode[SubmitResponse](t, resp.Body)
+		resp.Body.Close()
+		ids = append(ids, sub.ID)
+	}
+	for _, id := range ids {
+		st := waitState(t, ts.URL+"/v1/sweeps/"+id)
+		if st.State != StateDone || st.Completed != 2 || st.Failed != 0 {
+			t.Errorf("sweep %s over a dead fleet = %+v", id, st)
+		}
+	}
+	if n := srv.engine.Metrics.Execs.Value(); n != 4 {
+		t.Errorf("coordinator engine simulated %v points, want all 4", n)
+	}
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `service_worker_points_dispatched_total{worker="local"} 4`; !strings.Contains(string(text), want) {
+		t.Errorf("metrics missing %q", want)
 	}
 }
 

@@ -50,7 +50,7 @@ func (s *Server) initMetrics() {
 		firstRowSeconds: reg.Histogram("service_submit_to_first_row_seconds", "Latency from sweep submission to its first settled point.", obs.LatencyBuckets),
 		httpRequests:    reg.CounterVec("service_http_requests_total", "HTTP requests served, by status code.", "code"),
 
-		workerDispatched: reg.CounterVec("service_worker_points_dispatched_total", "Points dispatched to each fleet worker.", "worker"),
+		workerDispatched: reg.CounterVec("service_worker_points_dispatched_total", "Points dispatched to each worker, the coordinator's own engine as local.", "worker"),
 		workerRequeued:   reg.CounterVec("service_worker_points_requeued_total", "Points requeued after a transport failure, by the worker that failed.", "worker"),
 		workerFailed:     reg.CounterVec("service_worker_points_failed_total", "Dispatches that returned an error, by worker.", "worker"),
 		workerHealth:     reg.CounterVec("service_worker_health_transitions_total", "Per-sweep worker health transitions (to dead when consecutive transport failures hit the cap, back to healthy on the next successful dispatch).", "worker", "to"),
@@ -91,7 +91,7 @@ func (s *Server) activeSweeps() int {
 }
 
 // queueDepth sums the unsettled points of running sweeps: the work the
-// dispatcher (fleet or local pool) still owes.
+// workers, registered or local, still owe.
 func (s *Server) queueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -12,13 +12,11 @@ import (
 
 // The search half of sweep execution: a sweep submitted with a "search"
 // stanza evaluates only the rung batches the internal/search Searcher
-// proposes instead of the whole grid. Each batch runs through exactly the
-// same machinery as an exhaustive sweep — the fleet dispatch queue (tenant
-// grants applied) when workers are registered, the local engine pool
-// otherwise, every point memoized in the content-addressed store — and the
-// observed objective values are fed back to the searcher in deterministic
-// batch order, so the search trajectory is reproducible regardless of
-// evaluation concurrency.
+// proposes instead of the whole grid. Each batch runs through the same
+// launch loop as an exhaustive sweep — tenant grants applied, every point
+// memoized in the content-addressed store — and the observed objective
+// values are fed back to the searcher in deterministic batch order, so the
+// search trajectory is reproducible regardless of evaluation concurrency.
 
 // SearchRequest is the "search" stanza of POST /sweeps: present, the sweep
 // becomes a design-space search over the submitted grid instead of an
@@ -58,8 +56,7 @@ type searchObs struct {
 }
 
 // searchRun is the per-sweep search state bridging settled points (arriving
-// concurrently from the local pool or the fleet) back to the serial
-// Searcher.
+// concurrently from the launch loop's workers) back to the serial Searcher.
 type searchRun struct {
 	searcher  *search.Searcher
 	objective search.Objective
@@ -161,10 +158,10 @@ func (r *searchRun) searchStatus(final bool) *SearchStatus {
 }
 
 // runSearch drives a search sweep rung by rung: propose a batch, execute it
-// over the fleet (or locally), feed the observations back in deterministic
+// through the launch loop, feed the observations back in deterministic
 // batch order, publish a leaderboard row, repeat until the searcher is done
 // or the sweep is cancelled.
-func (s *Server) runSearch(ctx context.Context, sw *sweep, workers []*worker) {
+func (s *Server) runSearch(ctx context.Context, sw *sweep, fleet []*worker) {
 	run := sw.search
 	base := s.engine.Base
 	for {
@@ -172,11 +169,7 @@ func (s *Server) runSearch(ctx context.Context, sw *sweep, workers []*worker) {
 		if batch == nil {
 			break
 		}
-		if len(workers) > 0 {
-			s.runSharded(ctx, sw, workers, batch)
-		} else {
-			s.runLocal(ctx, sw, batch)
-		}
+		s.runPoints(ctx, sw, fleet, batch)
 		// Feed observations in batch order — a fixed order regardless of
 		// which worker finished first — so the next rung's promotion is a
 		// pure function of (grid, config, seed). Points the cancellation cut

@@ -74,7 +74,7 @@ func (e *syntheticExec) count() int {
 	return e.calls
 }
 
-// searchTestServer builds a service whose engine executes through the
+// searchTestServer builds a service whose local worker executes through the
 // synthetic executor, so every point costs microseconds and has a known
 // objective value.
 func searchTestServer(t *testing.T) (*syntheticExec, *httptest.Server) {
@@ -96,7 +96,8 @@ func searchTestServerFull(t *testing.T) (*syntheticExec, *Server, *httptest.Serv
 	base := core.DefaultConfig(taskrt.Software)
 	base.Machine = base.Machine.WithCores(8)
 	exec := newSyntheticExec(base)
-	srv := New(&runner.Engine{Base: base, Store: runner.NewStore(), Exec: exec}, 4)
+	srv := New(&runner.Engine{Base: base, Store: runner.NewStore()}, 4)
+	srv.local.exec = exec
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return exec, srv, ts

@@ -24,10 +24,13 @@
 //	GET  /v1/results/{key}      serve a cached result from the local store tiers
 //	GET  /healthz              liveness and drain state
 //
-// With workers registered (PUT /workers, or sweepd's -peers flag) the
-// service becomes a coordinator: submitted grids are sharded across the
-// fleet through a pull-based dispatch queue instead of simulated in-process
-// — see coordinator.go for the dispatch and failure semantics.
+// Every point of every sweep runs through one launch loop: it takes its
+// tenant grant, then the next free slot on any live worker. With workers
+// registered (PUT /workers, or sweepd's -peers flag) the service is a
+// coordinator dispatching to its fleet; the engine it was created with is
+// the standby worker "local", which runs every point while no worker is
+// registered and finishes a sweep whose whole fleet died — see
+// coordinator.go for the dispatch and failure semantics.
 //
 // Cancellation is plumbed through the whole execution path: cancelling a
 // sweep (explicitly, by disconnecting a ?stream=1 submission, or by draining
@@ -64,9 +67,8 @@ type Server struct {
 	engine *runner.Engine
 	mux    *http.ServeMux
 
-	// sem bounds concurrently executing simulation points across all
-	// sweeps (the engine's worker-pool equivalent for the service).
-	sem chan struct{}
+	// local is the standby worker executing on engine (see coordinator.go).
+	local *worker
 
 	// disp deals execution grants across tenants, weighted-fair (see
 	// tenants.go). Every executing point — local or dispatched to the fleet —
@@ -110,7 +112,7 @@ type Server struct {
 	draining bool
 
 	// workers is the registered execution fleet (see coordinator.go).
-	// While it is empty, sweeps simulate in-process.
+	// While it is empty, sweeps run on the local worker.
 	workers     map[string]*worker
 	workerOrder []string // registration order for listings and dispatch
 
@@ -127,16 +129,18 @@ type Server struct {
 	now func() time.Time
 }
 
-// New creates a service executing sweeps on the engine. workers bounds the
-// number of concurrently executing simulation points across all sweeps; zero
-// or negative falls back to the engine's own worker-pool sizing.
+// New creates a service executing sweeps on the engine, which becomes the
+// local worker with workers slots: while no fleet is registered, that bounds
+// the points in flight across all sweeps. Zero or negative falls back to the
+// engine's WorkerCount. The engine's own Workers bound caps its concurrent
+// simulations.
 func New(engine *runner.Engine, workers int) *Server {
 	if workers <= 0 {
 		workers = engine.WorkerCount()
 	}
 	s := &Server{
 		engine:       engine,
-		sem:          make(chan struct{}, workers),
+		local:        &worker{name: localWorker, exec: engine, slots: workers},
 		sweeps:       make(map[string]*sweep),
 		maxRetained:  256,
 		MaxBodyBytes: DefaultMaxBodyBytes,
@@ -371,19 +375,16 @@ func (s *Server) submit(jobs []runner.Job, tenant string, cfg TenantConfig, run 
 	return sw, nil
 }
 
-// runSweep executes a sweep — sharded over the worker fleet when one is
-// registered, in-process otherwise; search sweeps evaluate the searcher's
-// rung batches through the same paths — and settles the terminal state.
+// runSweep executes a sweep over the fleet snapshot taken at its start and
+// the local standby — search sweeps evaluate the searcher's rung batches
+// through the same launch loop — and settles the terminal state.
 func (s *Server) runSweep(ctx context.Context, sw *sweep) {
 	defer s.wg.Done()
-	workers := s.fleetSnapshot()
-	switch {
-	case sw.search != nil:
-		s.runSearch(ctx, sw, workers)
-	case len(workers) > 0:
-		s.runSharded(ctx, sw, workers, allIdxs(len(sw.jobs)))
-	default:
-		s.runLocal(ctx, sw, allIdxs(len(sw.jobs)))
+	fleet := s.fleetSnapshot()
+	if sw.search != nil {
+		s.runSearch(ctx, sw, fleet)
+	} else {
+		s.runPoints(ctx, sw, fleet, allIdxs(len(sw.jobs)))
 	}
 	state := StateDone
 	if ctx.Err() != nil {
@@ -401,52 +402,13 @@ func (s *Server) runSweep(ctx context.Context, sw *sweep) {
 	s.evict()
 }
 
-// allIdxs enumerates a full grid expansion for the exhaustive paths.
+// allIdxs enumerates a full grid expansion for exhaustive sweeps.
 func allIdxs(n int) []int {
 	idxs := make([]int, n)
 	for i := range idxs {
 		idxs[i] = i
 	}
 	return idxs
-}
-
-// runLocal executes the given jobs of a sweep in-process over the shared
-// point semaphore, appending each finished point to the sweep log
-// (exhaustive sweeps pass every index; search rungs pass their batch). Each
-// point first takes a tenant execution grant — under contention the
-// dispatcher decides whose point launches next — and then a semaphore slot
-// (always in that order; grant capacity covers the semaphore, so a grant
-// holder never waits on the semaphore behind anything but other executing
-// points).
-func (s *Server) runLocal(ctx context.Context, sw *sweep, idxs []int) {
-	var wg sync.WaitGroup
-launch:
-	for _, i := range idxs {
-		j := sw.jobs[i]
-		// Acquire the grant and a point slot, abandoning the launch loop on
-		// cancellation so a cancelled sweep stops submitting new points
-		// immediately.
-		g, ok := s.disp.acquire(ctx, sw.tenant, nil)
-		if !ok {
-			break launch
-		}
-		select {
-		case s.sem <- struct{}{}:
-		case <-ctx.Done():
-			s.disp.release(g)
-			break launch
-		}
-		wg.Add(1)
-		go func(i int, j runner.Job) {
-			defer wg.Done()
-			defer s.disp.release(g)
-			defer func() { <-s.sem }()
-			key := s.engine.Key(j)
-			res, err := s.engine.RunContext(ctx, j)
-			s.settlePoint(sw, pointOf(i, j, key, s.engine.Base, res, err, isCancelled(ctx, err)), res)
-		}(i, j)
-	}
-	wg.Wait()
 }
 
 // isCancelled reports whether a point error is the sweep's cancellation
@@ -781,7 +743,7 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 //	  "sweeps": 3,           // retained sweeps (running + finished)
 //	  "active_sweeps": 1,    // sweeps still running
 //	  "queue_depth": 42,     // unsettled points of running sweeps
-//	  "workers": 2,          // registered fleet workers
+//	  "workers": 2,          // registered fleet workers (the local one is not counted)
 //	  "tenants": 1           // known tenants (configured or submitting)
 //	}
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {

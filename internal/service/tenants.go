@@ -142,8 +142,8 @@ type tenantState struct {
 }
 
 // dispatcher deals execution grants across tenants, weighted-fair. Capacity
-// is the total number of outstanding grants allowed: the service point
-// semaphore plus every registered worker's slots, so the dispatcher decides
+// is the total number of outstanding grants allowed: the local worker's
+// slots plus every registered worker's slots, so the dispatcher decides
 // *whose* points run whenever the execution layer is saturated, and never
 // itself becomes the bottleneck.
 type dispatcher struct {
@@ -250,19 +250,18 @@ func (d *dispatcher) enqueue(tenant string) *grant {
 	return g
 }
 
-// acquire blocks until the tenant's next grant is issued, the caller's ctx
-// dies, or abort closes (nil abort never fires). It returns false — with the
-// grant safely withdrawn or released — on either non-grant exit.
-func (d *dispatcher) acquire(ctx context.Context, tenant string, abort <-chan struct{}) (*grant, bool) {
+// acquire blocks until the tenant's next grant is issued or the caller's
+// ctx dies. It returns false — with the grant safely withdrawn or released —
+// if ctx dies first.
+func (d *dispatcher) acquire(ctx context.Context, tenant string) (*grant, bool) {
 	g := d.enqueue(tenant)
 	select {
 	case <-g.ch:
 		return g, true
 	case <-ctx.Done():
-	case <-abort:
+		d.abandon(g)
+		return nil, false
 	}
-	d.abandon(g)
-	return nil, false
 }
 
 // release returns a grant's capacity to the pool.

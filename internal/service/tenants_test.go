@@ -161,7 +161,7 @@ func TestDispatcherAbandon(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hold := d.enqueue("a")
-	if _, ok := d.acquire(ctx, "a", nil); ok {
+	if _, ok := d.acquire(ctx, "a"); ok {
 		t.Error("acquire succeeded under a dead context with no capacity")
 	}
 	_ = hold
@@ -197,7 +197,7 @@ func gatedServer(t *testing.T) (*Server, *gateExec, string) {
 	}
 	gate := &gateExec{res: res, release: make(chan struct{})}
 	srv, ts := testServer(t, nil)
-	srv.engine.Exec = gate
+	srv.local.exec = gate
 	return srv, gate, ts.URL
 }
 
@@ -416,7 +416,7 @@ func TestTenantWeightedDrainEndToEnd(t *testing.T) {
 		order = append(order, tenant)
 		mu <- struct{}{}
 	}}
-	srv.engine.Exec = record
+	srv.local.exec = record
 
 	// Occupy the single slot so both tenants' queues build up behind it,
 	// then release: the dispatcher decides every subsequent launch. (The
@@ -466,8 +466,9 @@ func TestTenantWeightedDrainEndToEnd(t *testing.T) {
 	if counts["heavy"] != 6 || counts["light"] != 3 {
 		t.Fatalf("executions %v, want heavy=6 light=3 (order %v)", counts, order)
 	}
-	// Weight-2 heavy never falls behind: after each prefix of the contended
-	// drain it has at least as many grants as light.
+	// Weight-2 heavy keeps its 2:1 stride share: after each prefix of the
+	// contended drain it has at least twice light's grants, less one (light
+	// may take its grant before heavy's second of a stride).
 	heavy, light := 0, 0
 	for _, tenant := range order[1:] {
 		if tenant == "heavy" {
@@ -475,8 +476,8 @@ func TestTenantWeightedDrainEndToEnd(t *testing.T) {
 		} else {
 			light++
 		}
-		if light > heavy+1 {
-			t.Fatalf("light overtook heavy in drain order %v", order)
+		if 2*light > heavy+1 {
+			t.Fatalf("light took more than its 1:2 share in drain order %v", order)
 		}
 	}
 }
