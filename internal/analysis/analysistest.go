@@ -152,7 +152,8 @@ func collectWants(t *testing.T, pkg *Package) []*want {
 	return wants
 }
 
-// splitQuoted splits `"a" "b"` / `` `a` `b` `` into its quoted tokens.
+// splitQuoted splits a run of double-quoted or backquoted strings, such as
+// "a" "b", into its quoted tokens.
 func splitQuoted(s string) []string {
 	var out []string
 	s = strings.TrimSpace(s)

@@ -4,9 +4,9 @@
 // The engine advances a virtual clock measured in cycles and executes events
 // in (time, insertion-order) order. On top of the raw event queue, sim offers
 // a process abstraction (Proc) in the style of SimPy: a process is ordinary
-// Go code running in its own goroutine, but the engine guarantees that at
-// most one process executes at any instant, so simulations are fully
-// deterministic and reproducible.
+// Go code running as a coroutine, and the engine guarantees that at most one
+// process executes at any instant, so simulations are fully deterministic and
+// reproducible.
 //
 // Processes interact with the world through blocking primitives:
 //
@@ -22,8 +22,8 @@
 // simulated cycle, so both are built for speed: events are pooled on a free
 // list (steady-state scheduling performs no allocation), the queue is an
 // inlined 4-ary implicit heap specialized for the (Time, seq) key, and the
-// engine hands control to a process through a single reusable per-process
-// channel instead of a two-channel handshake.
+// engine hands control to a process with a runtime coroutine switch
+// (iter.Pull) that bypasses the Go scheduler.
 package sim
 
 import (
@@ -73,11 +73,10 @@ type Engine struct {
 	poolResides int    // events currently on the free list
 
 	// procs lists every spawned process in spawn order. A slice, not a set:
-	// Shutdown unwinds parked goroutines by iterating it, and map iteration
+	// Shutdown unwinds process coroutines by iterating it, and map iteration
 	// order would make the unwind order (and any cleanup side effects in
 	// process bodies) differ run to run.
 	procs   []*Proc
-	running *Proc
 	stopped bool
 
 	// eventCount is the total number of events executed, exposed for
@@ -243,9 +242,6 @@ func (e *Engine) Halt(err error) {
 	}
 }
 
-// Halted returns the error a Halt call installed, or nil.
-func (e *Engine) Halted() error { return e.haltErr }
-
 // Run executes events until the event queue drains. It returns the final
 // simulated time. If the queue drains while processes are still blocked on
 // signals or resources, Run returns a DeadlockError describing them.
@@ -254,7 +250,8 @@ func (e *Engine) Run() (Time, error) {
 }
 
 // RunUntil executes events until the event queue drains or the clock would
-// advance beyond horizon, whichever comes first.
+// advance beyond horizon, whichever comes first. The clock never moves
+// backwards: a horizon before Now runs nothing and leaves the clock as is.
 func (e *Engine) RunUntil(horizon Time) (Time, error) {
 	if e.stopped {
 		return e.now, fmt.Errorf("sim: engine already shut down")
@@ -265,7 +262,7 @@ func (e *Engine) RunUntil(horizon Time) (Time, error) {
 	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > horizon {
-			e.now = horizon
+			e.now = max(e.now, horizon)
 			return e.now, nil
 		}
 		e.pop()
@@ -302,30 +299,24 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Shutdown terminates the engine. Any process goroutines that are still
-// parked are unwound so they do not leak. After Shutdown the engine must not
-// be used again.
+// Shutdown terminates the engine. It stops every process coroutine in spawn
+// order, so shutdown side effects are reproducible: a parked process unwinds
+// from its park call, and one that never started is released without
+// running. After Shutdown the engine must not be used again.
 func (e *Engine) Shutdown() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	// Every live process goroutine is quiescent in park while the engine
-	// holds control, so each can be unwound with one kill token; the
-	// handoff channel synchronizes the unwind, one process at a time, in
-	// spawn order so shutdown side effects are reproducible.
 	for _, p := range e.procs {
-		if p.parkedNow && !p.done {
-			p.ch <- sigKill
-			<-p.ch
-		}
+		p.stop()
 	}
 }
 
 func (e *Engine) blockedProcs() []string {
 	var out []string
 	for _, p := range e.procs {
-		if !p.done && p.parkedNow {
+		if !p.done && p.waitingOn != "" {
 			out = append(out, fmt.Sprintf("%s (waiting: %s)", p.name, p.waitReason()))
 		}
 	}

@@ -3,9 +3,11 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -98,6 +100,32 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 	if !ran || end != 1000 {
 		t.Fatalf("after resume: ran=%v end=%d", ran, end)
+	}
+}
+
+// Regression test: RunUntil used to set the clock to its horizon whenever the
+// next event lay beyond it, even a horizon before Now, so an event scheduled
+// afterwards ran in the simulated past.
+func TestRunUntilNeverRewindsClock(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(1000, func() {})
+	if end, err := e.RunUntil(500); err != nil || end != 500 {
+		t.Fatalf("RunUntil(500) = %d, %v; want 500, nil", end, err)
+	}
+	end, err := e.RunUntil(200)
+	if err != nil || end != 500 || e.Now() != 500 {
+		t.Fatalf("RunUntil(200) = %d, %v, Now %d; want the clock to stay at 500", end, err, e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after a horizon in the past, want 1", e.Pending())
+	}
+	var at Time = -1
+	e.Schedule(0, func() { at = e.Now() })
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if at != 500 {
+		t.Fatalf("zero-delay event ran at cycle %d, want 500", at)
 	}
 }
 
@@ -473,6 +501,59 @@ func TestShutdownUnwindsParkedProcs(t *testing.T) {
 	e.Shutdown()
 	if _, err := e.Run(); err == nil {
 		t.Fatal("Run after Shutdown should fail")
+	}
+}
+
+// TestShutdownReleasesGoroutines pins that Shutdown leaves no goroutine
+// behind whatever state a process is in: finished, parked on a signal, queued
+// on a held resource, suspended, or spawned but never started. A process
+// coroutine exists from Spawn on, so the unstarted one holds a goroutine too.
+// The second engine's run ends in a process panic with others still parked.
+func TestShutdownReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	e := NewEngine()
+	s := e.NewSignal("never")
+	r := e.NewResource("held")
+	e.Spawn("finished", func(p *Proc) { r.Acquire(p) }) // returns holding r
+	e.Spawn("parked", func(p *Proc) { s.Wait(p) })
+	e.Spawn("queued", func(p *Proc) { r.Acquire(p) })
+	e.Spawn("suspended", func(p *Proc) { p.Suspend("") })
+	e.SpawnAt(1000, "unstarted", func(p *Proc) { t.Error("process beyond the horizon ran") })
+	if _, err := e.RunUntil(100); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if s.Waiting() != 1 || len(r.queue) != 1 || e.Pending() != 1 {
+		t.Fatalf("signal waiters %d, resource queue %d, pending %d; want 1 each",
+			s.Waiting(), len(r.queue), e.Pending())
+	}
+
+	f := NewEngine()
+	never := f.NewSignal("never")
+	for i := 0; i < 3; i++ {
+		f.Spawn("parked", func(p *Proc) { never.Wait(p) })
+	}
+	f.Spawn("boom", func(p *Proc) {
+		p.Wait(5)
+		panic("kaboom")
+	})
+	if _, err := f.Run(); err == nil || !strings.Contains(err.Error(), "kaboom") {
+		t.Fatalf("Run = %v, want the process panic", err)
+	}
+
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("%d goroutines with processes parked, want more than the baseline %d", n, base)
+	}
+	for _, eng := range []*Engine{e, f} {
+		eng.Shutdown()
+		eng.Shutdown()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Shutdown, want the baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

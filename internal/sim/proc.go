@@ -3,23 +3,13 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
-// errKilled is used internally to unwind parked process goroutines when the
+// errKilled is used internally to unwind parked process coroutines when the
 // engine shuts down.
 var errKilled = errors.New("sim: process killed by engine shutdown")
-
-// token is the value exchanged on a process's handoff channel. Control
-// strictly alternates between the engine and the process, so one unbuffered
-// channel per process carries the whole protocol; the value distinguishes a
-// normal resume from an engine-shutdown kill.
-type token uint8
-
-const (
-	sigRun  token = iota // resume (proc side) / parked or finished (engine side)
-	sigKill              // engine shutdown: unwind the process goroutine
-)
 
 // waitReasonTimer marks a process blocked in Wait; blockedProcs formats it
 // together with the stored duration. Wait is the hottest park reason, so it
@@ -29,57 +19,56 @@ const waitReasonTimer = "\x00timer"
 // Proc is a simulation process: ordinary Go code that runs inside the engine
 // and can block on simulated time, signals and resources. At most one process
 // executes at any instant, which makes simulations deterministic.
+//
+// The process body runs as a coroutine (iter.Pull): the engine resumes it
+// with next, the body parks by calling yield, and stop unwinds it. Control
+// therefore passes by a direct coroutine switch, never through the Go
+// scheduler.
 type Proc struct {
 	eng  *Engine
 	name string
 
-	// ch is the single handoff channel between the engine and the process
-	// goroutine. Exactly one side is ever blocked on it: the engine sends
-	// to transfer control to the process and then receives to take it
-	// back; the process receives to wake and sends when it parks or
-	// finishes.
-	ch chan token
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// resumeFn is the pre-bound wake-up event, scheduled every time the
-	// process must resume. Binding it once at spawn keeps Wait, Signal and
-	// Resource wake-ups allocation-free.
+	// process must resume (its first run included). Binding it once at
+	// spawn keeps Wait, Signal and Resource wake-ups allocation-free.
 	resumeFn func()
 
 	done      bool
-	parkedNow bool
 	waitingOn string
 	waitArg   Time
 }
 
 // Spawn creates a new process named name and schedules it to start at the
-// current simulated time. The function fn runs in its own goroutine but only
-// while the engine has handed control to it, so code inside fn does not need
-// any synchronization with other processes.
+// current simulated time. The function fn runs as a coroutine that executes
+// only while the engine has handed control to it, so code inside fn does not
+// need any synchronization with other processes.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return e.SpawnAt(0, name, fn)
 }
 
 // SpawnAt is like Spawn but delays the start of the process by delay cycles.
+// The coroutine exists from this call on, so a process that never starts
+// still holds it until Engine.Shutdown releases it.
 func (e *Engine) SpawnAt(delay Time, name string, fn func(*Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Spawn called with nil function")
 	}
-	p := &Proc{
-		eng:  e,
-		name: name,
-		ch:   make(chan token),
-	}
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		p.run(fn)
+	})
 	p.resumeFn = func() { e.resumeProc(p) }
 	e.procs = append(e.procs, p)
-	e.Schedule(delay, func() {
-		go p.run(fn)
-		<-p.ch
-	})
+	e.Schedule(delay, p.resumeFn)
 	return p
 }
 
-// run executes the process body and reports completion (or failure) back to
-// the engine.
+// run executes the process body and records a failure for the engine.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -90,23 +79,19 @@ func (p *Proc) run(fn func(*Proc)) {
 			// Engine-shutdown kills unwind quietly.
 		}
 		p.done = true
-		p.ch <- sigRun
 	}()
 	fn(p)
 }
 
-// park hands control back to the engine and blocks until the engine resumes
-// this process. reason is reported in deadlock diagnostics.
+// park hands control back to the engine until the engine resumes this
+// process. reason is reported in deadlock diagnostics.
 //
 //simlint:hotpath
 func (p *Proc) park(reason string) {
 	p.waitingOn = reason
-	p.parkedNow = true
-	p.ch <- sigRun
-	if <-p.ch == sigKill {
+	if !p.yield(struct{}{}) {
 		panic(errKilled)
 	}
-	p.parkedNow = false
 	p.waitingOn = ""
 }
 
@@ -120,23 +105,16 @@ func (p *Proc) waitReason() string {
 	return p.waitingOn
 }
 
-// resumeProc wakes a parked process and blocks until it parks again or
-// finishes. It must only be called from event callbacks.
+// resumeProc runs a process until it parks again or finishes; for a finished
+// process next returns at once. It must only be called from event callbacks.
 //
 //simlint:hotpath
 func (e *Engine) resumeProc(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := e.running
-	e.running = p
-	p.ch <- sigRun
-	<-p.ch
-	e.running = prev
+	p.next()
 }
 
 // Suspend parks the process indefinitely: nothing ever resumes it, and its
-// goroutine is unwound by Engine.Shutdown. It is the process half of
+// coroutine is unwound by Engine.Shutdown. It is the process half of
 // cooperative cancellation — a process that observes an external cancellation
 // calls Engine.Halt and then Suspend, so the run loop regains control and
 // returns the halt error while the process stays quiescent until shutdown.
@@ -146,7 +124,7 @@ func (p *Proc) Suspend(reason string) {
 		reason = "suspended"
 	}
 	// No wake-up source is registered, so park only returns if the engine is
-	// shut down (which unwinds the goroutine via a panic inside park). The
+	// shut down (which unwinds the coroutine via a panic inside park). The
 	// loop guards against a stray resume ever reaching a suspended process.
 	for {
 		p.park(reason)
@@ -176,18 +154,11 @@ func (p *Proc) WaitUntil(at Time) {
 	p.Wait(d)
 }
 
-// Yield gives other processes and events scheduled for the current cycle a
-// chance to run before this process continues.
-func (p *Proc) Yield() { p.Wait(0) }
-
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
 // Name returns the process name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.eng }
 
 // Done reports whether the process body has returned.
 func (p *Proc) Done() bool { return p.done }

@@ -14,11 +14,6 @@ type Signal struct {
 	// parkReason is precomputed so blocking on the signal does not format
 	// a string on every park.
 	parkReason string
-
-	// broadcasts and notifies count wake operations, mostly for tests and
-	// diagnostics.
-	broadcasts uint64
-	notifies   uint64
 }
 
 // NewSignal creates a named signal bound to the engine.
@@ -52,7 +47,6 @@ func (s *Signal) WaitFor(p *Proc, cond func() bool) {
 
 // Broadcast wakes every process currently waiting on the signal.
 func (s *Signal) Broadcast() {
-	s.broadcasts++
 	if len(s.waiters) == 0 {
 		return
 	}
@@ -65,7 +59,6 @@ func (s *Signal) Broadcast() {
 
 // Notify wakes the process that has been waiting the longest, if any.
 func (s *Signal) Notify() {
-	s.notifies++
 	if len(s.waiters) == 0 {
 		return
 	}
@@ -89,7 +82,6 @@ type Resource struct {
 
 	// contended counts Acquire calls that had to wait.
 	contended uint64
-	acquired  uint64
 }
 
 // NewResource creates a named exclusive resource bound to the engine.
@@ -103,7 +95,6 @@ func (r *Resource) Name() string { return r.name }
 // Acquire grants the process exclusive ownership of the resource, blocking in
 // FIFO order if another process currently owns it.
 func (r *Resource) Acquire(p *Proc) {
-	r.acquired++
 	if r.owner == nil {
 		r.owner = p
 		return
@@ -119,7 +110,6 @@ func (r *Resource) TryAcquire(p *Proc) bool {
 	if r.owner != nil {
 		return false
 	}
-	r.acquired++
 	r.owner = p
 	return true
 }
@@ -140,14 +130,5 @@ func (r *Resource) Release(p *Proc) {
 	r.eng.Schedule(0, next.resumeFn)
 }
 
-// Owner returns the current owner, or nil if the resource is free.
-func (r *Resource) Owner() *Proc { return r.owner }
-
-// QueueLen returns the number of processes waiting for the resource.
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
 // Contended returns how many Acquire calls had to wait.
 func (r *Resource) Contended() uint64 { return r.contended }
-
-// Acquisitions returns how many times the resource has been acquired.
-func (r *Resource) Acquisitions() uint64 { return r.acquired }
