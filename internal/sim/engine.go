@@ -4,7 +4,7 @@
 // The engine advances a virtual clock measured in cycles and executes events
 // in (time, insertion-order) order. On top of the raw event queue, sim offers
 // a process abstraction (Proc) in the style of SimPy: a process is ordinary
-// Go code running as a coroutine, and the engine guarantees that at most one
+// Go code run as a coroutine, and the engine guarantees that at most one
 // process executes at any instant, so simulations are fully deterministic and
 // reproducible.
 //
@@ -301,8 +301,8 @@ func (e *Engine) Step() bool {
 
 // Shutdown terminates the engine. It stops every process coroutine in spawn
 // order, so shutdown side effects are reproducible: a parked process unwinds
-// from its park call, and one that never started is released without
-// running. After Shutdown the engine must not be used again.
+// from its park call, and the body of one that never started never executes.
+// After Shutdown the engine must not be used again.
 func (e *Engine) Shutdown() {
 	if e.stopped {
 		return
