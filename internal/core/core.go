@@ -83,7 +83,10 @@ type Result struct {
 	*taskrt.Result
 	// Energy is the power-model estimate for the run.
 	Energy power.Estimate
-	// Program points at the program that was executed.
+	// Program points at the program that was executed. Results of runs
+	// that shared a program (the points of one runner.Engine.RunAll call
+	// that generate the same benchmark program) share one *task.Program,
+	// which must not be modified.
 	Program *task.Program
 }
 
@@ -116,6 +119,35 @@ func RunContext(ctx context.Context, prog *task.Program, cfg Config) (*Result, e
 	return &Result{Result: res, Energy: est, Program: prog}, nil
 }
 
+// BenchmarkProgram is a benchmark program resolved but not yet generated:
+// which benchmark, at which granularity, for which machine (whose clock
+// converts the work model's durations to cycles).
+type BenchmarkProgram struct {
+	Bench       *workloads.Benchmark
+	Granularity int64
+	Machine     machine.Config
+}
+
+// ResolveBenchmark resolves the program a run of the named benchmark under
+// cfg executes: at granularity, or at the Table II optimal for cfg.Runtime
+// when granularity is 0. RunBenchmark and RunBenchmarkAt generate their
+// programs through it.
+func ResolveBenchmark(name string, granularity int64, cfg Config) (BenchmarkProgram, error) {
+	bench, err := workloads.ByName(name)
+	if err != nil {
+		return BenchmarkProgram{}, err
+	}
+	if granularity == 0 {
+		granularity = bench.OptimalFor(cfg.Runtime.UsesDMU())
+	}
+	return BenchmarkProgram{Bench: bench, Granularity: granularity, Machine: cfg.Machine}, nil
+}
+
+// Generate builds the program.
+func (p BenchmarkProgram) Generate() *task.Program {
+	return p.Bench.Generate(p.Granularity, p.Machine)
+}
+
 // RunBenchmark generates the named benchmark at the optimal granularity for
 // the configured runtime (Table II) and simulates it.
 func RunBenchmark(name string, cfg Config) (*Result, error) {
@@ -124,28 +156,23 @@ func RunBenchmark(name string, cfg Config) (*Result, error) {
 
 // RunBenchmarkContext is RunBenchmark with cancellation (see RunContext).
 func RunBenchmarkContext(ctx context.Context, name string, cfg Config) (*Result, error) {
-	bench, err := workloads.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	prog := bench.GenerateOptimal(cfg.Runtime.UsesDMU(), cfg.Machine)
-	return RunContext(ctx, prog, cfg)
+	return RunBenchmarkAtContext(ctx, name, 0, cfg)
 }
 
 // RunBenchmarkAt generates the named benchmark at an explicit granularity and
-// simulates it (used by the Figure 6 sweep).
+// simulates it (used by the Figure 6 sweep). Granularity 0 selects the
+// optimal granularity, as in RunBenchmark.
 func RunBenchmarkAt(name string, granularity int64, cfg Config) (*Result, error) {
 	return RunBenchmarkAtContext(context.Background(), name, granularity, cfg)
 }
 
 // RunBenchmarkAtContext is RunBenchmarkAt with cancellation (see RunContext).
 func RunBenchmarkAtContext(ctx context.Context, name string, granularity int64, cfg Config) (*Result, error) {
-	bench, err := workloads.ByName(name)
+	p, err := ResolveBenchmark(name, granularity, cfg)
 	if err != nil {
 		return nil, err
 	}
-	prog := bench.Generate(granularity, cfg.Machine)
-	return RunContext(ctx, prog, cfg)
+	return RunContext(ctx, p.Generate(), cfg)
 }
 
 // ActivityOf converts a runtime result into the power model's activity

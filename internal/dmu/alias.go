@@ -71,8 +71,9 @@ func newAliasTable(name string, entries, assoc int, policy IndexPolicy) *aliasTa
 		freeLen: entries,
 		setLive: make([]int, numSets),
 	}
+	ways := make([]aliasEntry, numSets*assoc)
 	for i := range t.sets {
-		t.sets[i] = make([]aliasEntry, assoc)
+		t.sets[i] = ways[i*assoc : (i+1)*assoc : (i+1)*assoc]
 	}
 	// IDs are handed out lowest-first so direct-mapped tables indexed by ID
 	// stay dense.

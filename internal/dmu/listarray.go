@@ -22,7 +22,11 @@ type listArray struct {
 	name     string
 	entries  []listEntry
 	elemsPer int
+	// free is a FIFO ring of unallocated entry indices: freeLen of them,
+	// the oldest at freeHead.
 	free     []int
+	freeHead int
+	freeLen  int
 
 	// Statistics.
 	accesses      uint64
@@ -36,17 +40,21 @@ func newListArray(name string, entries, elemsPer int) *listArray {
 		name:     name,
 		entries:  make([]listEntry, entries),
 		elemsPer: elemsPer,
-		free:     make([]int, 0, entries),
+		free:     make([]int, entries),
+		freeLen:  entries,
 	}
+	// One backing array holds every entry's elements; the capacity bound
+	// keeps an entry's appends out of its neighbour's.
+	elems := make([]int32, entries*elemsPer)
 	for i := 0; i < entries; i++ {
-		la.entries[i].elems = make([]int32, 0, elemsPer)
-		la.free = append(la.free, i)
+		la.entries[i].elems = elems[i*elemsPer : i*elemsPer : (i+1)*elemsPer]
+		la.free[i] = i
 	}
 	return la
 }
 
 // freeEntries returns how many entries are currently unallocated.
-func (la *listArray) freeEntries() int { return len(la.free) }
+func (la *listArray) freeEntries() int { return la.freeLen }
 
 // canAppend conservatively reports whether count elements could be appended
 // to a list whose current length is curLen: in the worst case every new
@@ -65,19 +73,23 @@ func (la *listArray) canAppend(curLen, count int) bool {
 		return true
 	}
 	entriesNeeded := (need + la.elemsPer - 1) / la.elemsPer
-	return len(la.free) >= entriesNeeded
+	return la.freeLen >= entriesNeeded
 }
 
 // alloc reserves a fresh, empty entry and returns its index as the list
 // handle. It fails when the array is exhausted.
 func (la *listArray) alloc() (int, int, bool) {
 	la.accesses++
-	if len(la.free) == 0 {
+	if la.freeLen == 0 {
 		la.allocFailures++
 		return noList, 1, false
 	}
-	idx := la.free[0]
-	la.free = la.free[1:]
+	idx := la.free[la.freeHead]
+	la.freeHead++
+	if la.freeHead == len(la.free) {
+		la.freeHead = 0
+	}
+	la.freeLen--
 	e := &la.entries[idx]
 	e.used = true
 	e.elems = e.elems[:0]
@@ -254,6 +266,11 @@ func (la *listArray) release(idx int) {
 	e.used = false
 	e.elems = e.elems[:0]
 	e.next = idx
-	la.free = append(la.free, idx)
+	tail := la.freeHead + la.freeLen
+	if tail >= len(la.free) {
+		tail -= len(la.free)
+	}
+	la.free[tail] = idx
+	la.freeLen++
 	la.inUse--
 }

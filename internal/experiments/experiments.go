@@ -187,7 +187,8 @@ func JobsFor(opt Options, exps ...Experiment) ([]runner.Job, error) {
 
 // RunAll executes every experiment, writing the tables to w. With a cache
 // configured, the deduplicated union of every experiment's simulation points
-// runs first, in parallel across Options.Workers workers; the tables are then
+// runs first, in parallel across Options.Workers workers, generating each
+// distinct program once (see runner.Engine.RunAll); the tables are then
 // assembled sequentially from the warm cache, so the output is identical to a
 // strictly sequential run.
 func RunAll(opt Options, w io.Writer) error {

@@ -32,57 +32,66 @@ type LocalityTracker struct {
 	misses uint64
 }
 
+// noNode terminates a footprint's recency list.
+const noNode = -1
+
 // lruNode is one resident address in a core footprint, linked in recency
-// order so eviction is O(1) instead of a full scan of the footprint.
+// order so eviction is O(1) instead of a full scan of the footprint. Links
+// are indices into the footprint's nodes.
 type lruNode struct {
 	addr       uint64
-	prev, next *lruNode
+	prev, next int32
 }
 
 type coreFootprint struct {
-	blocks map[uint64]*lruNode // address -> recency-list node
+	blocks map[uint64]int32 // address -> index of its node
+	// nodes holds at most BlocksPerCore entries; an evicted address's node
+	// is reused for the new one, so a full footprint stops allocating.
+	nodes []lruNode
 	// head is the most recently touched address, tail the eviction victim.
-	head, tail *lruNode
+	head, tail int32
 }
 
 // NewLocalityTracker creates a tracker for the given number of cores.
 func NewLocalityTracker(cores int, cfg LocalityConfig) *LocalityTracker {
 	t := &LocalityTracker{cfg: cfg, cores: make([]coreFootprint, cores)}
 	for i := range t.cores {
-		t.cores[i].blocks = make(map[uint64]*lruNode)
+		t.cores[i] = coreFootprint{blocks: make(map[uint64]int32), head: noNode, tail: noNode}
 	}
 	return t
 }
 
-// pushFront links the (unlinked) node as the most recent entry.
-func (fp *coreFootprint) pushFront(n *lruNode) {
-	n.prev = nil
+// pushFront links the (unlinked) node i as the most recent entry.
+func (fp *coreFootprint) pushFront(i int32) {
+	n := &fp.nodes[i]
+	n.prev = noNode
 	n.next = fp.head
-	if fp.head != nil {
-		fp.head.prev = n
+	if fp.head != noNode {
+		fp.nodes[fp.head].prev = i
 	}
-	fp.head = n
-	if fp.tail == nil {
-		fp.tail = n
+	fp.head = i
+	if fp.tail == noNode {
+		fp.tail = i
 	}
 }
 
-// moveToFront unlinks n (if linked) and makes it the most recent entry.
-func (fp *coreFootprint) moveToFront(n *lruNode) {
-	if fp.head == n {
+// moveToFront unlinks node i and makes it the most recent entry.
+func (fp *coreFootprint) moveToFront(i int32) {
+	if fp.head == i {
 		return
 	}
 	// Unlink.
-	if n.prev != nil {
-		n.prev.next = n.next
+	n := &fp.nodes[i]
+	if n.prev != noNode {
+		fp.nodes[n.prev].next = n.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != noNode {
+		fp.nodes[n.next].prev = n.prev
 	}
-	if fp.tail == n {
+	if fp.tail == i {
 		fp.tail = n.prev
 	}
-	fp.pushFront(n)
+	fp.pushFront(i)
 }
 
 // AdjustedDuration returns the task's duration after applying the locality
@@ -125,28 +134,28 @@ func (t *LocalityTracker) RecordExecution(core int, spec *task.Spec) {
 }
 
 func (t *LocalityTracker) touch(fp *coreFootprint, addr uint64) {
-	if n, ok := fp.blocks[addr]; ok {
-		fp.moveToFront(n)
+	if i, ok := fp.blocks[addr]; ok {
+		fp.moveToFront(i)
 		return
 	}
-	var n *lruNode
+	var i int32
 	if len(fp.blocks) >= t.cfg.BlocksPerCore {
 		// Evict the least recently used address and recycle its node.
-		n = fp.tail
-		fp.tail = n.prev
-		if fp.tail != nil {
-			fp.tail.next = nil
+		i = fp.tail
+		fp.tail = fp.nodes[i].prev
+		if fp.tail != noNode {
+			fp.nodes[fp.tail].next = noNode
 		} else {
-			fp.head = nil
+			fp.head = noNode
 		}
-		delete(fp.blocks, n.addr)
-		n.prev, n.next = nil, nil
+		delete(fp.blocks, fp.nodes[i].addr)
 	} else {
-		n = &lruNode{}
+		i = int32(len(fp.nodes))
+		fp.nodes = append(fp.nodes, lruNode{})
 	}
-	n.addr = addr
-	fp.blocks[addr] = n
-	fp.pushFront(n)
+	fp.nodes[i].addr = addr
+	fp.blocks[addr] = i
+	fp.pushFront(i)
 }
 
 // HitRate returns the fraction of dependence lookups that hit a core

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/task"
 )
 
 // Engine executes jobs against a base configuration, memoizing results in an
@@ -79,7 +81,7 @@ func (e *Engine) RunContext(ctx context.Context, j Job) (*core.Result, error) {
 	if e.Store == nil {
 		return e.Execute(ctx, j)
 	}
-	return e.runKeyed(ctx, j, e.Key(j))
+	return e.runKeyed(ctx, j, e.Key(j), nil)
 }
 
 // Execute simulates a job in-process against Base, bypassing the store. It
@@ -87,6 +89,12 @@ func (e *Engine) RunContext(ctx context.Context, j Job) (*core.Result, error) {
 // the context's cause if ctx ends first), then logs one progress line and
 // records execution latency and failure class.
 func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
+	return e.execute(ctx, j, nil)
+}
+
+// execute is Execute taking the job's program from progs, once it holds a
+// slot, when progs is non-nil.
+func (e *Engine) execute(ctx context.Context, j Job, progs *programMemo) (*core.Result, error) {
 	e.slotsOnce.Do(func() { e.slots = make(chan struct{}, e.workers()) })
 	select {
 	case e.slots <- struct{}{}:
@@ -100,6 +108,9 @@ func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
 		start = time.Now()
 		e.Metrics.Execs.Inc()
 	}
+	if progs != nil {
+		j = progs.fill(j, e.Base)
+	}
 	res, err := j.RunContext(ctx, e.Base)
 	if e.Metrics != nil {
 		e.Metrics.ExecSeconds.Observe(time.Since(start).Seconds())
@@ -110,19 +121,67 @@ func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
 	return res, err
 }
 
-// runKeyed executes a job through the store under an already-derived key.
-func (e *Engine) runKeyed(ctx context.Context, j Job, key string) (*core.Result, error) {
+// runKeyed executes a job through the store under an already-derived key,
+// taking its program from progs when non-nil.
+func (e *Engine) runKeyed(ctx context.Context, j Job, key string, progs *programMemo) (*core.Result, error) {
 	res, _, err := e.Store.Do(ctx, key, func(ctx context.Context) (*core.Result, error) {
-		return e.Execute(ctx, j)
+		return e.execute(ctx, j, progs)
 	})
 	return res, err
+}
+
+// programMemo shares generated benchmark programs among the points of one
+// RunAll call: each distinct program (benchmark, resolved granularity,
+// machine) is generated once, by the first point that needs it, while any
+// other point needing it waits. Programs are immutable once run, so the
+// points' simulations and results share them.
+type programMemo struct {
+	mu    sync.Mutex
+	progs map[programKey]*memoProgram
+}
+
+type programKey struct {
+	benchmark   string
+	granularity int64
+	machine     machine.Config
+}
+
+type memoProgram struct {
+	once sync.Once
+	prog *task.Program
+}
+
+// fill returns j with its Program set from the memo. A job that already
+// carries a program, or names no known benchmark, is returned unchanged, so
+// running it behaves (and fails) as it would without the memo.
+func (m *programMemo) fill(j Job, base core.Config) Job {
+	if j.Program != nil {
+		return j
+	}
+	p, err := core.ResolveBenchmark(j.Benchmark, j.Granularity, j.Config(base))
+	if err != nil {
+		return j
+	}
+	k := programKey{p.Bench.Name, p.Granularity, p.Machine}
+	m.mu.Lock()
+	mp := m.progs[k]
+	if mp == nil {
+		mp = &memoProgram{}
+		m.progs[k] = mp
+	}
+	m.mu.Unlock()
+	mp.once.Do(func() { mp.prog = p.Generate() })
+	j.Program = mp.prog
+	return j
 }
 
 // RunAll executes a job set concurrently and returns the results in job
 // order (deterministic assembly regardless of worker count or completion
 // order). Jobs with equal keys are deduplicated: each distinct point is
-// simulated once and its result shared across all aliases. Errors from
-// distinct points are joined in job order.
+// simulated once and its result shared across all aliases. Each distinct
+// benchmark program is generated once per call and shared by every point
+// that simulates it (and by their results); the next call generates afresh.
+// Errors from distinct points are joined in job order.
 func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 	return e.RunAllContext(context.Background(), jobs)
 }
@@ -153,6 +212,7 @@ func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result,
 		keys = append(keys, k)
 	}
 
+	progs := &programMemo{progs: make(map[programKey]*memoProgram)}
 	slots := make([]slot, len(unique))
 	workers := e.workers()
 	if workers > len(unique) {
@@ -172,9 +232,9 @@ func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result,
 				var res *core.Result
 				var err error
 				if e.Store == nil {
-					res, err = e.Execute(ctx, unique[i])
+					res, err = e.execute(ctx, unique[i], progs)
 				} else {
-					res, err = e.runKeyed(ctx, unique[i], keys[i])
+					res, err = e.runKeyed(ctx, unique[i], keys[i], progs)
 				}
 				slots[i] = slot{res, err}
 			}

@@ -81,16 +81,25 @@ const SchemaVersion = 2 // v2: results carry task-latency percentiles and DMU oc
 
 // Key returns the content-addressed identity of the job under the base
 // configuration: a SHA-256 digest over the schema version, the benchmark,
-// the granularity and the canonical JSON encoding of the effective
-// core.Config. Jobs that simulate the same system have equal keys
-// regardless of which sweep or figure enumerated them.
+// the granularity (0 when it equals the Table II optimal for the job's
+// runtime) and the canonical JSON encoding of the effective core.Config.
+// Jobs that simulate the same system have equal keys regardless of which
+// sweep or figure enumerated them.
 func (j Job) Key(base core.Config) string {
+	cfg := j.Config(base)
+	granularity := j.Granularity
 	var program []byte
 	if j.Program != nil {
 		var err error
 		program, err = task.MarshalProgram(j.Program)
 		if err != nil {
 			panic(fmt.Sprintf("runner: cannot encode replay program: %v", err))
+		}
+	} else if granularity != 0 {
+		// An explicit Table II optimal generates the program granularity 0
+		// does, so it hashes as 0.
+		if p, err := core.ResolveBenchmark(j.Benchmark, 0, cfg); err == nil && p.Granularity == granularity {
+			granularity = 0
 		}
 	}
 	payload, err := json.Marshal(struct {
@@ -99,7 +108,7 @@ func (j Job) Key(base core.Config) string {
 		Granularity int64
 		Program     string `json:",omitempty"`
 		Config      core.Config
-	}{SchemaVersion, j.Benchmark, j.Granularity, string(program), j.Config(base)})
+	}{SchemaVersion, j.Benchmark, granularity, string(program), cfg})
 	if err != nil {
 		// core.Config is plain data; this only fires if a non-serializable
 		// field is ever added to it.
@@ -135,12 +144,9 @@ func (j Job) RunContext(ctx context.Context, base core.Config) (*core.Result, er
 	cfg := j.Config(base)
 	var res *core.Result
 	var err error
-	switch {
-	case j.Program != nil:
+	if j.Program != nil {
 		res, err = core.RunContext(ctx, j.Program, cfg)
-	case j.Granularity == 0:
-		res, err = core.RunBenchmarkContext(ctx, j.Benchmark, cfg)
-	default:
+	} else {
 		res, err = core.RunBenchmarkAtContext(ctx, j.Benchmark, j.Granularity, cfg)
 	}
 	if err != nil {

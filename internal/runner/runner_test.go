@@ -71,6 +71,20 @@ func TestJobKeyContentAddressing(t *testing.T) {
 	if same.Key(base) != j.Key(base) {
 		t.Error("no-op mutation changed the key")
 	}
+	// So must the Table II optimal granularity given explicitly (as Fig. 6
+	// enumerates it), for software and TDM runs alike.
+	hist, err := workloads.ByName("histogram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range []taskrt.Kind{taskrt.TDM, taskrt.Software} {
+		dflt := Job{Benchmark: "histogram", Runtime: rt, Scheduler: sched.FIFO}
+		explicit := dflt
+		explicit.Granularity = hist.OptimalFor(rt.UsesDMU())
+		if explicit.Key(base) != dflt.Key(base) {
+			t.Errorf("%s: the explicit optimal granularity %d changed the key", rt, explicit.Granularity)
+		}
+	}
 }
 
 func TestEngineRunAllDeterministicAcrossWorkerCounts(t *testing.T) {

@@ -50,11 +50,13 @@ func (s *Signal) Broadcast() {
 	if len(s.waiters) == 0 {
 		return
 	}
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
+	// Scheduling a wake-up runs no process, so nothing waits on the signal
+	// during the loop and the waiter array can be reused.
+	for _, w := range s.waiters {
 		s.eng.Schedule(0, w.resumeFn)
 	}
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Notify wakes the process that has been waiting the longest, if any.
@@ -62,9 +64,7 @@ func (s *Signal) Notify() {
 	if len(s.waiters) == 0 {
 		return
 	}
-	w := s.waiters[0]
-	s.waiters = s.waiters[1:]
-	s.eng.Schedule(0, w.resumeFn)
+	s.eng.Schedule(0, popFront(&s.waiters).resumeFn)
 }
 
 // Resource is an exclusive server with FIFO admission. It models hardware or
@@ -124,11 +124,22 @@ func (r *Resource) Release(p *Proc) {
 		r.owner = nil
 		return
 	}
-	next := r.queue[0]
-	r.queue = r.queue[1:]
+	next := popFront(&r.queue)
 	r.owner = next
 	r.eng.Schedule(0, next.resumeFn)
 }
 
 // Contended returns how many Acquire calls had to wait.
 func (r *Resource) Contended() uint64 { return r.contended }
+
+// popFront removes and returns the first process of a wait queue. It shifts
+// the rest down instead of reslicing, so the queue keeps its backing array
+// and later appends do not allocate; queues hold at most one entry per
+// process.
+func popFront(q *[]*Proc) *Proc {
+	p := (*q)[0]
+	n := copy(*q, (*q)[1:])
+	(*q)[n] = nil
+	*q = (*q)[:n]
+	return p
+}

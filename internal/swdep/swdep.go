@@ -24,7 +24,7 @@ type taskState struct {
 	numPred   int
 	numSucc   int
 	succs     []task.ID
-	deps      []uint64
+	deps      []task.Dep // the task's spec.Deps, shared with its program
 	submitted bool
 	finished  bool
 }
@@ -68,6 +68,12 @@ type Tracker struct {
 	tasks map[task.ID]*taskState
 	deps  map[uint64]*depState
 
+	// freeTasks and freeDeps recycle the records of retired tasks and
+	// released addresses, so creating a task stops allocating them once
+	// the tracker has seen its peak in-flight state.
+	freeTasks []*taskState
+	freeDeps  []*depState
+
 	// Counters for diagnostics and tests.
 	created  int
 	finished int
@@ -100,7 +106,14 @@ func (t *Tracker) CreateTask(spec *task.Spec) (CreateResult, error) {
 	if _, exists := t.tasks[spec.ID]; exists {
 		return CreateResult{}, fmt.Errorf("swdep: task %d already created", spec.ID)
 	}
-	ts := &taskState{id: spec.ID}
+	var ts *taskState
+	if n := len(t.freeTasks); n > 0 {
+		ts = t.freeTasks[n-1]
+		t.freeTasks = t.freeTasks[:n-1]
+	} else {
+		ts = new(taskState)
+	}
+	*ts = taskState{id: spec.ID, succs: ts.succs[:0], deps: spec.Deps}
 	t.tasks[spec.ID] = ts
 	t.created++
 
@@ -108,10 +121,15 @@ func (t *Tracker) CreateTask(spec *task.Spec) (CreateResult, error) {
 	for _, d := range spec.Deps {
 		ds := t.deps[d.Addr]
 		if ds == nil {
-			ds = &depState{lastWriter: task.NoTask}
+			if n := len(t.freeDeps); n > 0 {
+				ds = t.freeDeps[n-1]
+				t.freeDeps = t.freeDeps[:n-1]
+			} else {
+				ds = new(depState)
+			}
+			*ds = depState{lastWriter: task.NoTask, readers: ds.readers[:0]}
 			t.deps[d.Addr] = ds
 		}
-		ts.deps = append(ts.deps, d.Addr)
 		if ds.lastWriterValid && ds.lastWriter != spec.ID {
 			t.addEdge(ds.lastWriter, ts)
 			res.EdgesInserted++
@@ -184,7 +202,8 @@ func (t *Tracker) FinishTask(id task.ID) (FinishResult, error) {
 			res.NumSuccsOf = append(res.NumSuccsOf, succ.numSucc)
 		}
 	}
-	for _, addr := range ts.deps {
+	for _, d := range ts.deps {
+		addr := d.Addr
 		ds := t.deps[addr]
 		if ds == nil {
 			continue
@@ -201,9 +220,11 @@ func (t *Tracker) FinishTask(id task.ID) (FinishResult, error) {
 		}
 		if !ds.lastWriterValid && len(ds.readers) == 0 {
 			delete(t.deps, addr)
+			t.freeDeps = append(t.freeDeps, ds)
 		}
 	}
 	delete(t.tasks, id)
+	t.freeTasks = append(t.freeTasks, ts)
 	return res, nil
 }
 

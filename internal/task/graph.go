@@ -254,24 +254,27 @@ func (g *Graph) IsAcyclic() bool {
 
 // OrderValidator checks that an observed execution order respects the golden
 // TDG: a task may only start once every predecessor has finished. Runtime
-// simulations feed it start/finish events; any violation is recorded.
+// simulations feed it start/finish events; any violation is recorded. The
+// validator only reads its graph, so validators of concurrent runs may share
+// one.
 type OrderValidator struct {
 	graph      *Graph
-	finished   map[ID]bool
+	finished   []bool // by task index in the graph
+	done       int    // number of true entries in finished
 	violations []string
 	started    int
 }
 
 // NewOrderValidator creates a validator for the graph.
 func NewOrderValidator(g *Graph) *OrderValidator {
-	return &OrderValidator{graph: g, finished: make(map[ID]bool, g.NumTasks())}
+	return &OrderValidator{graph: g, finished: make([]bool, g.NumTasks())}
 }
 
 // Start records that a task began executing and validates its predecessors.
 func (v *OrderValidator) Start(id ID) {
 	v.started++
 	for _, p := range v.graph.Preds(id) {
-		if !v.finished[p] {
+		if !v.finished[v.graph.index(p)] {
 			v.violations = append(v.violations,
 				fmt.Sprintf("task %d started before predecessor %d finished", id, p))
 		}
@@ -279,7 +282,13 @@ func (v *OrderValidator) Start(id ID) {
 }
 
 // Finish records that a task completed.
-func (v *OrderValidator) Finish(id ID) { v.finished[id] = true }
+func (v *OrderValidator) Finish(id ID) {
+	i := v.graph.index(id)
+	if !v.finished[i] {
+		v.finished[i] = true
+		v.done++
+	}
+}
 
 // Violations returns all recorded ordering violations.
 func (v *OrderValidator) Violations() []string { return v.violations }
@@ -289,7 +298,7 @@ func (v *OrderValidator) Started() int { return v.started }
 
 // AllFinished reports whether every task in the graph has finished.
 func (v *OrderValidator) AllFinished() bool {
-	return len(v.finished) == v.graph.NumTasks()
+	return v.done == v.graph.NumTasks()
 }
 
 // Err returns a single error summarizing the validator state, or nil if the
@@ -299,7 +308,7 @@ func (v *OrderValidator) Err() error {
 		return fmt.Errorf("task: %d dependence violations, first: %s", len(v.violations), v.violations[0])
 	}
 	if !v.AllFinished() {
-		return fmt.Errorf("task: only %d of %d tasks finished", len(v.finished), v.graph.NumTasks())
+		return fmt.Errorf("task: only %d of %d tasks finished", v.done, v.graph.NumTasks())
 	}
 	return nil
 }

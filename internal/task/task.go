@@ -15,6 +15,7 @@ package task
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Dir is the direction of a dependence annotation, mirroring the OpenMP 4.0
@@ -106,6 +107,11 @@ type Region struct {
 
 // Program is a whole benchmark: an ordered list of parallel regions plus
 // bookkeeping used by experiments.
+//
+// A program is immutable once it has been run: simulations only read it, so
+// any number of runs, concurrent ones included, may share one program, and
+// its golden graph is built on the first call to Graph and cached. Do not
+// modify a program (its regions, tasks or dependences) after its first run.
 type Program struct {
 	Name    string
 	Regions []Region
@@ -116,6 +122,16 @@ type Program struct {
 	Granularity int64
 	// GranularityUnit is a human-readable unit for Granularity.
 	GranularityUnit string
+
+	graphOnce sync.Once
+	graph     *Graph
+}
+
+// Graph returns the program's golden task graph (see BuildProgramGraph). The
+// first call builds it; later calls, from any goroutine, share that graph.
+func (p *Program) Graph() *Graph {
+	p.graphOnce.Do(func() { p.graph = BuildProgramGraph(p) })
+	return p.graph
 }
 
 // Tasks returns every task of every region in creation order.

@@ -53,8 +53,3 @@ func pushToPool(tc *threadCtx, pool sched.Scheduler, rt *sched.ReadyTask) {
 	tc.rs.schedPushes++
 	tc.rs.notifyWork(1)
 }
-
-// readyFromSpec builds the scheduler's view of a ready task.
-func readyFromSpec(spec *task.Spec, numSuccs, affinity int) *sched.ReadyTask {
-	return &sched.ReadyTask{Spec: spec, NumSuccs: numSuccs, Affinity: affinity}
-}

@@ -74,7 +74,7 @@ func (b *carbonBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 	if !ok {
 		return nil
 	}
-	return readyFromSpec(b.rs.specOf(entry.DescAddr), entry.NumSuccs, sched.NoAffinity)
+	return b.rs.readyFromSpec(b.rs.specOf(entry.DescAddr), entry.NumSuccs, sched.NoAffinity)
 }
 
 func (b *carbonBackend) pending() bool { return b.queues.Len() > 0 }

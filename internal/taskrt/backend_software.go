@@ -38,7 +38,7 @@ func (b *softwareBackend) createTask(tc *threadCtx, spec *task.Spec) {
 	// Linking the discovered edges and publishing the task.
 	tc.charge(stats.Deps, int64(res.EdgesInserted)*costs.SwEdgeInsert+costs.SwSubmit)
 	if res.Ready {
-		pushToPool(tc, b.pool, readyFromSpec(spec, res.NumSuccs, sched.NoAffinity))
+		pushToPool(tc, b.pool, b.rs.readyFromSpec(spec, res.NumSuccs, sched.NoAffinity))
 	}
 }
 
@@ -53,7 +53,7 @@ func (b *softwareBackend) finishTask(tc *threadCtx, spec *task.Spec) {
 		int64(res.SuccessorsWoken)*costs.SwWakeSuccessor+int64(res.DepsReleased)*costs.SwDepRelease)
 	for i, id := range res.NewlyReady {
 		succ := b.rs.specs[id]
-		pushToPool(tc, b.pool, readyFromSpec(succ, res.NumSuccsOf[i], tc.core))
+		pushToPool(tc, b.pool, b.rs.readyFromSpec(succ, res.NumSuccsOf[i], tc.core))
 	}
 }
 

@@ -121,7 +121,7 @@ func (b *taskSSBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 		return nil
 	}
 	b.dequeues++
-	return readyFromSpec(b.rs.specOf(rt.DescAddr), rt.NumSuccs, sched.NoAffinity)
+	return b.rs.readyFromSpec(b.rs.specOf(rt.DescAddr), rt.NumSuccs, sched.NoAffinity)
 }
 
 func (b *taskSSBackend) pending() bool { return b.unit.ReadyCount() > 0 }

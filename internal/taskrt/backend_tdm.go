@@ -130,7 +130,7 @@ func (b *tdmBackend) drainReady(tc *threadCtx, affinity int) {
 			return
 		}
 		spec := b.rs.specOf(rt.DescAddr)
-		pushToPool(tc, b.pool, readyFromSpec(spec, rt.NumSuccs, affinity))
+		pushToPool(tc, b.pool, b.rs.readyFromSpec(spec, rt.NumSuccs, affinity))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
@@ -31,9 +32,11 @@ type runState struct {
 
 	backend backend
 
-	// Program-order task list and descriptor mapping.
-	specs      []*task.Spec
-	specByDesc map[uint64]*task.Spec
+	// specs lists the tasks in program order, so specs[id] has ID id.
+	specs []*task.Spec
+	// ready holds, by task ID, the scheduler's view of each task once it
+	// is ready (see readyFromSpec).
+	ready []sched.ReadyTask
 
 	// Progress counters. created counts tasks the master has fully
 	// registered; executed counts tasks whose finish phase completed.
@@ -85,7 +88,7 @@ func newRunState(prog *task.Program, cfg Config) (*runState, error) {
 		prog:           prog,
 		costs:          cfg.Machine.Costs,
 		specs:          prog.Tasks(),
-		specByDesc:     make(map[uint64]*task.Spec, prog.NumTasks()),
+		ready:          make([]sched.ReadyTask, prog.NumTasks()),
 		work:           eng.NewSignal("work"),
 		capacity:       eng.NewSignal("capacity"),
 		locality:       machine.NewLocalityTracker(cfg.Machine.Cores, cfg.Machine.Locality),
@@ -94,11 +97,8 @@ func newRunState(prog *task.Program, cfg Config) (*runState, error) {
 		latencies:      make([]int64, 0, prog.NumTasks()),
 		occupancy:      stats.NewOccupancySeries(stats.DefaultOccupancyCap),
 	}
-	for _, s := range rs.specs {
-		rs.specByDesc[rs.descOf(s.ID)] = s
-	}
 	if cfg.ValidateOrder {
-		rs.validator = task.NewOrderValidator(task.BuildProgramGraph(prog))
+		rs.validator = task.NewOrderValidator(prog.Graph())
 	}
 	if cfg.RecordTimeline {
 		rs.timeline = trace.New(cfg.Machine.Cores)
@@ -168,13 +168,23 @@ func (rs *runState) descOf(id task.ID) uint64 {
 	return descriptorBase + uint64(id)*descriptorStride
 }
 
-// specOf resolves a task descriptor address back to its specification.
+// specOf resolves a task descriptor address back to its specification,
+// inverting descOf.
 func (rs *runState) specOf(desc uint64) *task.Spec {
-	s := rs.specByDesc[desc]
-	if s == nil {
+	off := desc - descriptorBase
+	if desc < descriptorBase || off%descriptorStride != 0 || off/descriptorStride >= uint64(len(rs.specs)) {
 		panic(fmt.Sprintf("taskrt: unknown task descriptor 0x%x", desc))
 	}
-	return s
+	return rs.specs[off/descriptorStride]
+}
+
+// readyFromSpec builds the scheduler's view of a ready task in the task's
+// entry of rs.ready. A task becomes ready once per run, so no entry is
+// handed out twice.
+func (rs *runState) readyFromSpec(spec *task.Spec, numSuccs, affinity int) *sched.ReadyTask {
+	rt := &rs.ready[spec.ID]
+	*rt = sched.ReadyTask{Spec: spec, NumSuccs: numSuccs, Affinity: affinity}
+	return rt
 }
 
 // allExecuted reports whether every created task has finished.
