@@ -276,7 +276,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Scheduler:   scheduler,
 			Cores:       cfg.Machine.Cores,
 			Granularity: j.Granularity,
-			Tasks:       res.Program.NumTasks(),
+			Tasks:       res.TasksExecuted,
 			Cycles:      res.Cycles,
 			Seconds:     res.Seconds,
 			EnergyJ:     res.Energy.EnergyJoules,

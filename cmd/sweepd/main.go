@@ -61,12 +61,12 @@
 //
 // The result store is a tiered cache: a bounded in-memory LRU
 // (-store-mem-bytes) over the -store directory (bounded by -store-max-bytes;
-// least-recently-accessed result files are GCed under a persistent,
-// crash-rebuildable index), over the rest of the fleet (-store-peers): a key
-// missing from both local tiers is fetched from peers' GET /v1/results/{key}
-// before being simulated, so any result computed anywhere in the fleet is
-// computed once. Every sweepd — coordinator or worker — serves
-// GET /v1/results/{key} from its local tiers only.
+// least-recently-accessed result files are GCed, and the files' mtimes carry
+// that order across restarts), over the rest of the fleet (-store-peers): a
+// key missing from both local tiers is fetched from peers'
+// GET /v1/results/{key} before being simulated, so any result computed
+// anywhere in the fleet is computed once. Every sweepd — coordinator or
+// worker — serves GET /v1/results/{key} from its local tiers only.
 //
 // # Multi-tenancy
 //
@@ -143,9 +143,6 @@ func main() {
 	}
 	if *store != "" {
 		log.Printf("sweepd: persisting results to %s", *store)
-		if st.IndexRebuilt() {
-			log.Printf("sweepd: store index rebuilt from result files")
-		}
 	}
 
 	// Structured logs (request, sweep and dispatch records) go to stderr

@@ -38,20 +38,20 @@ func main() {
 	cfg.DMU.AccessLatency = *latency
 	cfg.RecordTimeline = *timeline
 
-	var res *core.Result
-	var err error
-	if *granularity == 0 {
-		res, err = core.RunBenchmark(*benchmark, cfg)
-	} else {
-		res, err = core.RunBenchmarkAt(*benchmark, *granularity, cfg)
+	bench, err := core.ResolveBenchmark(*benchmark, *granularity, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tdmsim:", err)
+		os.Exit(1)
 	}
+	prog := bench.Generate()
+	res, err := core.Run(prog, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tdmsim:", err)
 		os.Exit(1)
 	}
 
 	fmt.Printf("benchmark      %s (%d tasks, granularity %d %s)\n",
-		res.Benchmark, res.Program.NumTasks(), res.Program.Granularity, res.Program.GranularityUnit)
+		res.Benchmark, prog.NumTasks(), prog.Granularity, prog.GranularityUnit)
 	fmt.Printf("configuration  %s\n", core.Describe(cfg))
 	fmt.Printf("execution time %d cycles  (%.3f ms)\n", res.Cycles, res.Seconds*1e3)
 	fmt.Printf("energy         %.4f J   avg power %.2f W   EDP %.6f Js\n",

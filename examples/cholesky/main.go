@@ -19,13 +19,17 @@ func main() {
 	quick := flag.Bool("quick", false, "fewer schedulers (smoke tests)")
 	flag.Parse()
 	baselineCfg := core.DefaultConfig(core.Software)
-	baseline, err := core.RunBenchmark("cholesky", baselineCfg)
+	bench, err := core.ResolveBenchmark("cholesky", 0, baselineCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	prog := bench.Generate()
+	baseline, err := core.Run(prog, baselineCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cholesky: %d tasks of %.0f us average (2048x2048 matrix, 16 KB blocks)\n\n",
-		baseline.Program.NumTasks(),
-		baselineCfg.Machine.CyclesToMicros(baseline.Program.AvgDuration()))
+		prog.NumTasks(), baselineCfg.Machine.CyclesToMicros(prog.AvgDuration()))
 	fmt.Printf("%-22s %14s %9s %9s %12s\n", "configuration", "cycles", "speedup", "EDP", "master DEPS")
 	report := func(name string, res *core.Result) {
 		fmt.Printf("%-22s %14d %9.3f %9.3f %12s\n",

@@ -47,7 +47,7 @@ func main() {
 			log.Fatal(err)
 		}
 		points[i] = point{sw: sw.Cycles, tdm: tdm.Cycles}
-		tasks[i] = sw.Program.NumTasks()
+		tasks[i] = sw.TasksExecuted
 		if bestSW == 0 || sw.Cycles < bestSW {
 			bestSW = sw.Cycles
 		}

@@ -78,16 +78,26 @@ func Runtimes() []taskrt.Kind { return taskrt.Kinds() }
 // Benchmarks lists the available benchmark names.
 func Benchmarks() []string { return workloads.Names() }
 
-// Result bundles the timing result of a run with its energy estimate.
+// Result bundles the timing result of a run with its energy estimate. It
+// does not reference the program that ran, so it stays small when stored or
+// sent: a caller that needs the program generates it (ResolveBenchmark), and
+// TasksExecuted is the program's task count for every run that returned
+// without error.
 type Result struct {
 	*taskrt.Result
 	// Energy is the power-model estimate for the run.
 	Energy power.Estimate
-	// Program points at the program that was executed. Results of runs
-	// that shared a program (the points of one runner.Engine.RunAll call
-	// that generate the same benchmark program) share one *task.Program,
-	// which must not be modified.
-	Program *task.Program
+}
+
+// Complete reports whether a result holds a finished simulation: the
+// embedded runtime result is present, at least one task executed, every
+// created task executed, and the per-thread breakdown is filled in. Decoders
+// of stored or received results must check it, because JSON decoding
+// zero-fills whatever a truncated or foreign body lacks: {"Cycles":42}
+// decodes to a non-nil runtime result.
+func (r *Result) Complete() bool {
+	return r.Result != nil && r.TasksExecuted > 0 &&
+		r.TasksCreated == r.TasksExecuted && len(r.PerThread) > 0
 }
 
 // Run simulates an arbitrary program under the configuration.
@@ -116,7 +126,7 @@ func RunContext(ctx context.Context, prog *task.Program, cfg Config) (*Result, e
 		return nil, err
 	}
 	est := cfg.Power.Estimate(ActivityOf(res, cfg.Machine))
-	return &Result{Result: res, Energy: est, Program: prog}, nil
+	return &Result{Result: res, Energy: est}, nil
 }
 
 // BenchmarkProgram is a benchmark program resolved but not yet generated:

@@ -43,8 +43,12 @@ func TestRunBenchmarkHistogram(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		if res.TasksExecuted != res.Program.NumTasks() {
-			t.Errorf("%s: executed %d of %d", kind, res.TasksExecuted, res.Program.NumTasks())
+		p, err := ResolveBenchmark("histogram", 0, quickConfig(kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := p.Generate().NumTasks(); res.TasksExecuted != want || !res.Complete() {
+			t.Errorf("%s: executed %d of %d", kind, res.TasksExecuted, want)
 		}
 		if res.Energy.EnergyJoules <= 0 || res.Energy.EDP <= 0 {
 			t.Errorf("%s: energy estimate missing: %+v", kind, res.Energy)
@@ -70,7 +74,7 @@ func TestRunBenchmarkAtGranularity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fine.Program.NumTasks() <= coarse.Program.NumTasks() {
+	if fine.TasksExecuted <= coarse.TasksExecuted {
 		t.Fatal("granularity knob did not change the program")
 	}
 }

@@ -192,7 +192,7 @@ func Fig6Granularity(opt Options) ([]*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			points = append(points, point{gran: g, cycles: res.Cycles, tasks: res.Program.NumTasks()})
+			points = append(points, point{gran: g, cycles: res.Cycles, tasks: res.TasksExecuted})
 		}
 		best := points[0].cycles
 		for _, p := range points {

@@ -13,7 +13,10 @@
 // embedded in their versioned task.MarshalProgram form, and grids are
 // submitted with the same request schema the service accepts. Job mutations
 // (Job.Mutate) are Go closures and cannot cross the wire; encoding such a
-// job fails loudly rather than silently dropping the mutation.
+// job fails loudly rather than silently dropping the mutation. Results
+// travel as core.Result JSON, a few kilobytes without the program; a
+// decoded result counts only when core.Result.Complete holds, and unknown
+// fields (the program older workers and peers still send) are ignored.
 //
 // Failures are classified for the dispatcher: a point that is itself broken
 // (unknown benchmark, simulation error) comes back as a permanent error,
@@ -276,7 +279,7 @@ func (e *Executor) execute(ctx context.Context, j runner.Job) (*core.Result, err
 			// visible to errors.Is/As through the Transient classification.
 			return nil, runner.Transient(fmt.Errorf("remote: worker %s returned an unparsable result: %w", e.URL, err))
 		}
-		if res.Result == nil || res.Program == nil {
+		if !res.Complete() {
 			return nil, runner.Transient(fmt.Errorf("remote: worker %s returned an incomplete result", e.URL))
 		}
 		return &res, nil

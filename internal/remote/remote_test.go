@@ -14,6 +14,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/service"
+	"repro/internal/task"
 	"repro/internal/taskrt"
 	"repro/internal/workloads/synth"
 )
@@ -104,8 +105,8 @@ func TestExecutorAgainstWorker(t *testing.T) {
 	if got.Cycles != want.Cycles || got.Energy.EDP != want.Energy.EDP {
 		t.Errorf("remote execution diverged: %d vs %d cycles", got.Cycles, want.Cycles)
 	}
-	if got.Program == nil || got.Program.NumTasks() != want.Program.NumTasks() {
-		t.Error("remote result lost its program")
+	if !got.Complete() || got.TasksExecuted != want.TasksExecuted {
+		t.Error("remote result lost its task counts")
 	}
 }
 
@@ -184,7 +185,8 @@ func TestExecutorErrorClassification(t *testing.T) {
 // the decode error with %w — errors.As must see the cause through the
 // Transient classification — and a 200 with a well-formed but incomplete
 // result is transient too. (Regression: the unparsable-result path once
-// flattened the decode error through %v, hiding it from errors.Is/As.)
+// flattened the decode error through %v, hiding it from errors.Is/As. A
+// body with a Program object but no simulation fields was once accepted.)
 func TestExecutorResultFailuresKeepCause(t *testing.T) {
 	job := runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO}
 
@@ -201,14 +203,71 @@ func TestExecutorResultFailuresKeepCause(t *testing.T) {
 		t.Errorf("decode cause is not visible through errors.As: %v", err)
 	}
 
-	incomplete := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	for _, body := range []string{`{}`, `{"Cycles": 42}`, `{"Cycles":42,"Program":{}}`} {
+		incomplete := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write([]byte(body))
+		}))
+		_, err = NewExecutor(incomplete.URL).Execute(context.Background(), job)
+		incomplete.Close()
+		if !runner.IsTransient(err) || err == nil || !strings.Contains(err.Error(), "incomplete") {
+			t.Errorf("incomplete result %s returned %v, want a transient incomplete-result error", body, err)
+		}
+	}
+}
+
+// withProgram returns res's JSON with a "Program" object added: the shape of
+// a result written or sent by an older binary.
+func withProgram(t *testing.T, res *core.Result) []byte {
+	t.Helper()
+	b := task.NewBuilder("histogram")
+	b.Task("kernel", 1000).Add()
+	prog, err := json.Marshal(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["Program"] = prog
+	data, err = json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestOlderResultsAccepted: a worker or a peer running an older binary sends
+// each result with its program embedded; both decoders must still accept
+// it, with unchanged cycles.
+func TestOlderResultsAccepted(t *testing.T) {
+	res, key := cachedResult(t)
+	body := withProgram(t, res)
+	older := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte("{}"))
+		w.Write(body)
 	}))
-	defer incomplete.Close()
-	_, err = NewExecutor(incomplete.URL).Execute(context.Background(), job)
-	if !runner.IsTransient(err) || err == nil || !strings.Contains(err.Error(), "incomplete") {
-		t.Errorf("incomplete result returned %v, want a transient incomplete-result error", err)
+	defer older.Close()
+
+	got, err := NewExecutor(older.URL).Execute(context.Background(),
+		runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO})
+	if err != nil {
+		t.Fatalf("worker response with a program rejected: %v", err)
+	}
+	if got.Cycles != res.Cycles {
+		t.Errorf("worker response decoded to %d cycles, want %d", got.Cycles, res.Cycles)
+	}
+	got, ok := (&PeerSource{URLs: []string{older.URL}}).FetchResult(context.Background(), key)
+	if !ok {
+		t.Fatal("peer response with a program rejected")
+	}
+	if got.Cycles != res.Cycles {
+		t.Errorf("peer response decoded to %d cycles, want %d", got.Cycles, res.Cycles)
 	}
 }
 

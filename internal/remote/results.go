@@ -20,8 +20,10 @@ import (
 // handler answers from memory and disk only, never from its own peers, so a
 // lookup fans out one hop and cannot cascade around the fleet.
 
-// maxPeerResultBytes bounds one peer response body; result JSON for even the
-// largest replay programs stays far below this.
+// maxPeerResultBytes bounds one peer response body. A result is a few
+// kilobytes, but a peer running an older binary still embeds the program in
+// each result (11.6 MB for one streamcluster point), and its answers stay
+// welcome.
 const maxPeerResultBytes = 1 << 28
 
 // ResultsHandler serves GET /results/{key}: the store's cached result for
@@ -149,7 +151,7 @@ func (p *PeerSource) get(ctx context.Context, peer, key string) (*core.Result, s
 	case http.StatusOK:
 		var res core.Result
 		dec := json.NewDecoder(http.MaxBytesReader(nil, resp.Body, maxPeerResultBytes))
-		if err := dec.Decode(&res); err != nil || res.Result == nil || res.Program == nil {
+		if err := dec.Decode(&res); err != nil || !res.Complete() {
 			// A truncated or foreign body must not be cached as the point's
 			// result; treat it like a channel failure.
 			return nil, "error"

@@ -110,13 +110,15 @@ func TestPeerSourceFirstHitWins(t *testing.T) {
 	}
 }
 
-// TestPeerSourceRejectsMalformed: truncated or foreign bodies are channel
-// errors, never returned as results.
+// TestPeerSourceRejectsMalformed: truncated, foreign or incomplete bodies
+// are channel errors, never returned as results.
 func TestPeerSourceRejectsMalformed(t *testing.T) {
 	bodies := map[string]string{
-		"truncated": `{"result": {"cy`,
-		"foreign":   `{"hello": "world"}`,
-		"empty":     ``,
+		"truncated":     `{"result": {"cy`,
+		"foreign":       `{"hello": "world"}`,
+		"empty":         ``,
+		"cycles-only":   `{"Cycles": 42}`,
+		"empty-program": `{"Cycles":42,"Program":{}}`,
 	}
 	for name, body := range bodies {
 		t.Run(name, func(t *testing.T) {

@@ -134,7 +134,7 @@ func (e *Engine) runKeyed(ctx context.Context, j Job, key string, progs *program
 // RunAll call: each distinct program (benchmark, resolved granularity,
 // machine) is generated once, by the first point that needs it, while any
 // other point needing it waits. Programs are immutable once run, so the
-// points' simulations and results share them.
+// points' simulations share them.
 type programMemo struct {
 	mu    sync.Mutex
 	progs map[programKey]*memoProgram
@@ -180,8 +180,9 @@ func (m *programMemo) fill(j Job, base core.Config) Job {
 // order). Jobs with equal keys are deduplicated: each distinct point is
 // simulated once and its result shared across all aliases. Each distinct
 // benchmark program is generated once per call and shared by every point
-// that simulates it (and by their results); the next call generates afresh.
-// Errors from distinct points are joined in job order.
+// that simulates it; the memo dies with the call, so the next call generates
+// afresh and no result keeps a program alive. Errors from distinct points
+// are joined in job order.
 func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 	return e.RunAllContext(context.Background(), jobs)
 }
@@ -191,6 +192,12 @@ func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 // skipped (their result slot stays nil), and the cancellation cause is
 // returned instead of the per-point error join.
 func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result, error) {
+	return e.runAll(ctx, jobs, &programMemo{progs: make(map[programKey]*memoProgram)})
+}
+
+// runAll is RunAllContext sharing the programs of executed points through
+// progs.
+func (e *Engine) runAll(ctx context.Context, jobs []Job, progs *programMemo) ([]*core.Result, error) {
 	// Deduplicate while preserving first-occurrence order.
 	type slot struct {
 		res *core.Result
@@ -212,7 +219,6 @@ func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result,
 		keys = append(keys, k)
 	}
 
-	progs := &programMemo{progs: make(map[programKey]*memoProgram)}
 	slots := make([]slot, len(unique))
 	workers := e.workers()
 	if workers > len(unique) {

@@ -1,9 +1,6 @@
 package runner
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,146 +8,38 @@ import (
 	"strings"
 )
 
-// The disk tier's persistent index: one dotfile per store directory mapping
-// every persisted key to its file size and last-access stamp, so opening a
-// store with millions of cached results costs one sequential file read
-// instead of a stat per result, and GC can pick LRU victims without touching
-// the filesystem.
-//
-// The index is an append-only journal: every persist appends a "put" record,
-// disk hits append throttled "touch" records, and GC appends "del" records.
-// When the journal grows past a multiple of the live entry count it is
-// compacted into a fresh snapshot (one "put" per live entry, written to a
-// temporary file and renamed, so a crash never leaves a half-written
-// snapshot). The journal itself is deliberately not fsynced: a crash may
-// truncate the final record, and any parse error — a torn line, a foreign
-// header, an unknown op — discards the whole index and rebuilds it by
-// scanning the result files, which remain the source of truth.
+// The disk tier's index maps every persisted key to its file size and
+// last-access stamp, so GC can pick LRU victims without touching the
+// filesystem. It lives in memory only: opening a store builds it from the
+// result files, which are the single source of truth. Every non-hidden
+// *.json file is a result, sized from the file, its access stamp taken from
+// the file's mtime; disk hits refresh that mtime (Store.touch), so GC order
+// survives a restart.
 
-// indexFileName is the index dotfile inside a store directory. It must stay
-// a dotfile: operational tooling (and the e2e scripts) treat every non-hidden
-// file in a store directory as a result file.
-const indexFileName = ".index"
-
-// indexHeader is the first line of every index file; a mismatch means a
-// foreign or torn file and triggers a rebuild.
-const indexHeader = `{"format":"repro/store-index","v":1}`
-
-// indexRecord is one journal line. Op is "put" (key persisted: Bytes and
-// Access valid), "touch" (key re-read: Access valid), or "del" (key GCed).
-type indexRecord struct {
-	Op     string `json:"op"`
-	Key    string `json:"key"`
-	Bytes  int64  `json:"bytes,omitempty"`
-	Access int64  `json:"access,omitempty"`
-}
-
-// idxEntry is the live in-memory state of one persisted result.
+// idxEntry is the live state of one persisted result.
 type idxEntry struct {
 	bytes int64
-	// access is the last read or write, unix nanoseconds. Memory-tier hits
-	// update it in place without journaling; journaled stamps are only as
-	// fresh as the last disk touch, which GC ordering tolerates.
+	// access is the last read or write, unix nanoseconds.
 	access int64
-	// journaledAccess is the stamp last written to the journal, so hot keys
-	// do not append one touch record per read (see touchGranularity).
-	journaledAccess int64
 }
-
-// touchGranularity throttles touch records: a disk hit is journaled only
-// when the key's last journaled stamp is older than this many nanoseconds,
-// keeping the hit path write-free in steady state. A crash loses at most
-// this much access recency, which only skews GC ordering, never contents.
-const touchGranularity = int64(60e9)
 
 // diskIndex tracks the disk tier. All methods require the owning Store's
-// mutex (index state and the journal append share the store's lock).
+// mutex.
 type diskIndex struct {
-	dir     string
 	entries map[string]*idxEntry
 	total   int64 // sum of entry bytes
-	f       *os.File
-	records int // journal records since the last compaction
-	rebuilt bool
 }
 
-// openIndex loads the index for a store directory, rebuilding it from the
-// result files when the index is missing, torn, or unparsable.
+// openIndex builds the index for a store directory from its result files.
+// Quarantined and temporary files are skipped. The journal an older binary
+// kept beside the results (".index") is deleted: nothing reads it anymore.
 func openIndex(dir string) (*diskIndex, error) {
-	idx := &diskIndex{dir: dir, entries: make(map[string]*idxEntry)}
-	if err := idx.loadJournal(); err != nil {
-		if err := idx.rebuild(); err != nil {
-			return nil, err
-		}
-	}
-	// Start from a compact snapshot either way: a rebuilt index has no file
-	// yet, and a journal that survived a restart has accumulated records.
-	if err := idx.compact(); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
-func (x *diskIndex) path() string { return filepath.Join(x.dir, indexFileName) }
-
-// loadJournal replays the journal file into memory. Any defect — missing
-// file, wrong header, torn or foreign record — is returned as an error so
-// the caller rebuilds; a journal is never partially trusted.
-func (x *diskIndex) loadJournal() error {
-	f, err := os.Open(x.path())
+	_ = os.Remove(filepath.Join(dir, ".index"))
+	dirents, err := os.ReadDir(dir)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("runner: open store index: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() || sc.Text() != indexHeader {
-		return errors.New("runner: store index header mismatch")
-	}
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec indexRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("runner: torn store index record: %w", err)
-		}
-		switch rec.Op {
-		case "put":
-			if e, ok := x.entries[rec.Key]; ok {
-				x.total -= e.bytes
-			}
-			x.entries[rec.Key] = &idxEntry{bytes: rec.Bytes, access: rec.Access, journaledAccess: rec.Access}
-			x.total += rec.Bytes
-		case "touch":
-			if e, ok := x.entries[rec.Key]; ok {
-				e.access = rec.Access
-				e.journaledAccess = rec.Access
-			}
-		case "del":
-			if e, ok := x.entries[rec.Key]; ok {
-				x.total -= e.bytes
-				delete(x.entries, rec.Key)
-			}
-		default:
-			return fmt.Errorf("runner: unknown store index op %q", rec.Op)
-		}
-	}
-	return sc.Err()
-}
-
-// rebuild reconstructs the index by scanning the store directory: every
-// non-hidden *.json file is a result (size from the file, access from its
-// mtime). Quarantined and temporary files are skipped.
-func (x *diskIndex) rebuild() error {
-	x.entries = make(map[string]*idxEntry)
-	x.total = 0
-	x.rebuilt = true
-	dirents, err := os.ReadDir(x.dir)
-	if err != nil {
-		return fmt.Errorf("runner: rebuild store index: %w", err)
-	}
+	x := &diskIndex{entries: make(map[string]*idxEntry)}
 	for _, d := range dirents {
 		name := d.Name()
 		if strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
@@ -160,80 +49,9 @@ func (x *diskIndex) rebuild() error {
 		if err != nil {
 			continue // deleted mid-scan; it is not a cached result anymore
 		}
-		key := strings.TrimSuffix(name, ".json")
-		x.entries[key] = &idxEntry{
-			bytes:           info.Size(),
-			access:          info.ModTime().UnixNano(),
-			journaledAccess: info.ModTime().UnixNano(),
-		}
-		x.total += info.Size()
+		x.put(strings.TrimSuffix(name, ".json"), info.Size(), info.ModTime().UnixNano())
 	}
-	return nil
-}
-
-// compact rewrites the index as a snapshot (header plus one put per live
-// entry, key-sorted for determinism), atomically via temp file and rename,
-// and reopens the append handle on the fresh file.
-func (x *diskIndex) compact() error {
-	if x.f != nil {
-		x.f.Close()
-		x.f = nil
-	}
-	tmp, err := os.CreateTemp(x.dir, indexFileName+".tmp*")
-	if err != nil {
-		return fmt.Errorf("runner: compact store index: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	fmt.Fprintln(w, indexHeader)
-	keys := make([]string, 0, len(x.entries))
-	for k := range x.entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		e := x.entries[k]
-		rec, _ := json.Marshal(indexRecord{Op: "put", Key: k, Bytes: e.bytes, Access: e.access})
-		w.Write(rec)
-		w.WriteByte('\n')
-		e.journaledAccess = e.access
-	}
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: compact store index: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: compact store index: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), x.path()); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("runner: compact store index: %w", err)
-	}
-	f, err := os.OpenFile(x.path(), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runner: reopen store index: %w", err)
-	}
-	x.f = f
-	x.records = 0
-	return nil
-}
-
-// append writes one journal record, compacting first when the journal has
-// outgrown the live entry set. Append failures are swallowed: the index is
-// an accelerator, and a rebuild recovers anything a lost record would.
-func (x *diskIndex) append(rec indexRecord) {
-	if x.records > 4*len(x.entries)+1024 {
-		if err := x.compact(); err != nil {
-			return
-		}
-	}
-	if x.f == nil {
-		return
-	}
-	line, _ := json.Marshal(rec)
-	x.f.Write(append(line, '\n'))
-	x.records++
+	return x, nil
 }
 
 // put records a persisted result.
@@ -241,33 +59,23 @@ func (x *diskIndex) put(key string, bytes, access int64) {
 	if e, ok := x.entries[key]; ok {
 		x.total -= e.bytes
 	}
-	x.entries[key] = &idxEntry{bytes: bytes, access: access, journaledAccess: access}
+	x.entries[key] = &idxEntry{bytes: bytes, access: access}
 	x.total += bytes
-	x.append(indexRecord{Op: "put", Key: key, Bytes: bytes, Access: access})
 }
 
-// touch refreshes a key's last access, journaling only past the throttle.
+// touch refreshes a key's last access.
 func (x *diskIndex) touch(key string, access int64) {
-	e, ok := x.entries[key]
-	if !ok {
-		return
-	}
-	e.access = access
-	if access-e.journaledAccess >= touchGranularity {
-		e.journaledAccess = access
-		x.append(indexRecord{Op: "touch", Key: key, Access: access})
+	if e, ok := x.entries[key]; ok {
+		e.access = access
 	}
 }
 
 // del drops a key (its file is the caller's to remove).
 func (x *diskIndex) del(key string) {
-	e, ok := x.entries[key]
-	if !ok {
-		return
+	if e, ok := x.entries[key]; ok {
+		x.total -= e.bytes
+		delete(x.entries, key)
 	}
-	x.total -= e.bytes
-	delete(x.entries, key)
-	x.append(indexRecord{Op: "del", Key: key})
 }
 
 // victims returns up to enough least-recently-accessed keys to bring the

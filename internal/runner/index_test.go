@@ -1,10 +1,10 @@
 package runner
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sched"
@@ -23,9 +23,11 @@ func testResult(t *testing.T) *core.Result {
 	return res
 }
 
-// TestIndexCrashRebuild: an index file truncated mid-record (a SIGKILL
-// between journal appends) must not lose results — opening the store
-// rebuilds the index from the result files and every key stays warm.
+// TestIndexCrashRebuild: reopening a store, as after a crash, builds its
+// index from the result files alone: every key stays warm and the disk tier
+// accounts the same bytes. Stores written by older binaries also hold a
+// ".index" journal; whatever state a crash left it in, reopening ignores it
+// and deletes it.
 func TestIndexCrashRebuild(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewDiskStore(dir)
@@ -39,133 +41,89 @@ func TestIndexCrashRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idxPath := filepath.Join(dir, indexFileName)
-	data, err := os.ReadFile(idxPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) < 20 {
-		t.Fatalf("index implausibly small: %d bytes", len(data))
+	used := st.DiskBytesUsed()
+	if used <= 0 {
+		t.Fatal("disk tier accounts zero bytes after five puts")
 	}
 
-	cases := []struct {
-		name    string
-		corrupt func(t *testing.T)
-	}{
-		{"truncated-mid-record", func(t *testing.T) {
-			if err := os.WriteFile(idxPath, data[:len(data)-7], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"foreign-header", func(t *testing.T) {
-			if err := os.WriteFile(idxPath, []byte("not an index\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"missing", func(t *testing.T) {
-			if err := os.Remove(idxPath); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"unknown-op", func(t *testing.T) {
-			line := []byte(indexHeader + "\n" + `{"op":"frobnicate","key":"x"}` + "\n")
-			if err := os.WriteFile(idxPath, line, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
+	journal := filepath.Join(dir, ".index")
+	header := `{"format":"repro/store-index","v":1}` + "\n"
+	leftovers := []struct{ name, journal string }{
+		{"missing", ""},
+		{"truncated-mid-record", header + `{"op":"put","key":"k-alpha","bytes":12`},
+		{"foreign-header", "not an index\n"},
+		{"unknown-op", header + `{"op":"frobnicate","key":"x"}` + "\n"},
 	}
-	for _, tc := range cases {
+	for _, tc := range leftovers {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.corrupt(t)
+			if tc.journal != "" {
+				if err := os.WriteFile(journal, []byte(tc.journal), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 			re, err := NewDiskStore(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !re.IndexRebuilt() {
-				t.Error("store did not report an index rebuild")
+			if got := re.DiskBytesUsed(); got != used {
+				t.Errorf("reopened store accounts %d disk bytes, want %d", got, used)
 			}
 			for _, k := range keys {
 				if _, ok := re.Get(k); !ok {
-					t.Errorf("key %q lost after index corruption", k)
+					t.Errorf("key %q lost across a reopen", k)
 				}
 			}
-			if re.DiskBytesUsed() <= 0 {
-				t.Error("rebuilt index accounts zero disk bytes")
-			}
-			// The reopened store compacts a fresh, loadable index; the next
-			// open must not need a rebuild.
-			again, err := NewDiskStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.IndexRebuilt() {
-				t.Error("index still unparsable after recovery compaction")
+			if _, err := os.Stat(journal); !os.IsNotExist(err) {
+				t.Errorf("an older binary's journal survived the reopen: %v", err)
 			}
 		})
 	}
 }
 
-// TestIndexIntactNoRebuild: a cleanly written index loads without a rebuild.
-func TestIndexIntactNoRebuild(t *testing.T) {
+// TestDiskHitRecencySurvivesReopen: a disk hit stamps its file, so after a
+// restart GC still evicts the key nobody read, not the one a reader kept
+// warm. Both files start with equal mtimes, where GC's tie-break would pick
+// the read key.
+func TestDiskHitRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("only-key", testResult(t)); err != nil {
-		t.Fatal(err)
+	res := testResult(t)
+	for _, k := range []string{"a-read", "b-unread"} {
+		if err := st.Put(k, res); err != nil {
+			t.Fatal(err)
+		}
 	}
-	re, err := NewDiskStore(dir)
+	base := time.Unix(1_000_000, 0)
+	for _, k := range []string{"a-read", "b-unread"} {
+		if err := os.Chtimes(st.path(k), base, base); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reader, err := NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.IndexRebuilt() {
-		t.Error("intact index triggered a rebuild")
+	reader.now = func() time.Time { return base.Add(time.Hour) }
+	if _, ok := reader.Get("a-read"); !ok {
+		t.Fatal("persisted key missed")
 	}
-}
 
-// TestIndexGoldenFormat pins the on-disk index format — header line plus
-// NDJSON records — against golden files. A format change that breaks these
-// must bump the header version (old daemons then rebuild instead of
-// misreading).
-func TestIndexGoldenFormat(t *testing.T) {
-	dir := t.TempDir()
-	idx, err := openIndex(dir)
+	restarted, err := OpenStore(StoreOptions{Dir: dir, DiskBytes: mustSize(t, res)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fixed stamps, far enough apart that the touch throttle journals them.
-	base := int64(1_000_000_000_000)
-	idx.put("bbb", 256, base)
-	idx.put("aaa", 128, base+1)
-	idx.touch("bbb", base+touchGranularity)
-	idx.put("ccc", 512, base+2)
-	idx.del("ccc")
-
-	compare := func(t *testing.T, golden string) {
-		got, err := os.ReadFile(filepath.Join(dir, indexFileName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Errorf("index file diverged from testdata/%s:\n--- got ---\n%s--- want ---\n%s",
-				golden, got, want)
-		}
+	if restarted.GC() <= 0 {
+		t.Fatal("GC freed nothing from a tier over its budget")
 	}
-	// The journal records operations in order; the compacted snapshot holds
-	// one key-sorted put per live entry with the latest access stamps.
-	compare(t, "index_journal.golden")
-	if err := idx.compact(); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(restarted.path("b-unread")); !os.IsNotExist(err) {
+		t.Errorf("the unread key survived GC: %v", err)
 	}
-	compare(t, "index_snapshot.golden")
-
-	if total := idx.total; total != 256+128 {
-		t.Errorf("index accounts %d bytes, want %d", total, 256+128)
+	if _, ok := restarted.Get("a-read"); !ok {
+		t.Error("GC evicted the key a reader kept warm before the restart")
 	}
 }
 
@@ -190,77 +148,4 @@ func TestIndexVictimsSkipInflight(t *testing.T) {
 	if len(victims) != 2 || victims[0] != "cold" || victims[1] != "warm" {
 		t.Errorf("victims = %v, want [cold warm] (LRU order, inflight skipped)", victims)
 	}
-}
-
-// TestIndexJournalCompaction: the journal self-compacts once records
-// sufficiently outnumber live entries, and the compacted file replays to the
-// same state.
-func TestIndexJournalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	idx, err := openIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hammer one key with re-puts: records grow, live entries stay at 1.
-	for i := 0; i < 3000; i++ {
-		idx.put("hot", int64(i+1), int64(i+1))
-	}
-	if idx.records > 4*len(idx.entries)+1024 {
-		t.Errorf("journal never compacted: %d records for %d entries", idx.records, len(idx.entries))
-	}
-	re, err := openIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.rebuilt {
-		t.Error("self-compacted journal did not load cleanly")
-	}
-	e, ok := re.entries["hot"]
-	if !ok || e.bytes != 3000 {
-		t.Errorf("replayed entry = %+v, want bytes 3000", e)
-	}
-}
-
-// regenerate the goldens with: go test ./internal/runner -run GoldenFormat -update-index-goldens
-func TestMain(m *testing.M) {
-	for _, arg := range os.Args[1:] {
-		if arg == "-update-index-goldens" {
-			regenGoldens()
-			return
-		}
-	}
-	os.Exit(m.Run())
-}
-
-func regenGoldens() {
-	dir, err := os.MkdirTemp("", "idx")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	idx, err := openIndex(dir)
-	if err != nil {
-		panic(err)
-	}
-	base := int64(1_000_000_000_000)
-	idx.put("bbb", 256, base)
-	idx.put("aaa", 128, base+1)
-	idx.touch("bbb", base+touchGranularity)
-	idx.put("ccc", 512, base+2)
-	idx.del("ccc")
-	cp := func(golden string) {
-		data, err := os.ReadFile(filepath.Join(dir, indexFileName))
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(filepath.Join("testdata", golden), data, 0o644); err != nil {
-			panic(err)
-		}
-		fmt.Printf("wrote testdata/%s (%d bytes)\n", golden, len(data))
-	}
-	cp("index_journal.golden")
-	if err := idx.compact(); err != nil {
-		panic(err)
-	}
-	cp("index_snapshot.golden")
 }

@@ -1,22 +1,22 @@
 package runner_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/sched"
-	"repro/internal/task"
 	"repro/internal/taskrt"
 )
 
 // TestRunAllGeneratesEachProgramOnce runs the Fig. 12 and Fig. 13 points in
 // one RunAll call. Their 108 distinct points simulate 11 distinct programs:
 // one per benchmark at its Table II granularity, plus a second for
-// blackscholes and qr, whose software and TDM granularities differ. The
-// results must share exactly those 11 programs, and a point on another
-// machine must get a program of its own.
+// blackscholes and qr, whose software and TDM granularities differ. The call
+// must generate exactly those 11, and a point on another machine must get a
+// program of its own. The results carry no program, so all 108 stay small.
 func TestRunAllGeneratesEachProgramOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the 108 Fig. 12 and Fig. 13 points")
@@ -37,25 +37,34 @@ func TestRunAllGeneratesEachProgramOnce(t *testing.T) {
 	fewerCores := runner.Job{Benchmark: "cholesky", Runtime: taskrt.TDM, Scheduler: sched.FIFO,
 		Mutate: func(cfg *core.Config) { cfg.Machine.Cores = 16 }}
 	eng := &runner.Engine{Base: core.DefaultConfig(taskrt.Software)}
-	results, err := eng.RunAll(append(jobs, fewerCores))
+	results, programs, err := eng.RunAllCountingPrograms(append(jobs, fewerCores))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	keys := make(map[string]bool)
-	programs := make(map[*task.Program]bool)
-	var cholesky *task.Program
+	var total, largest int
 	for i, j := range jobs {
-		keys[eng.Key(j)] = true
-		programs[results[i].Program] = true
-		if j.Benchmark == "cholesky" && j.Runtime == taskrt.TDM {
-			cholesky = results[i].Program
+		k := eng.Key(j)
+		if keys[k] {
+			continue
 		}
+		keys[k] = true
+		data, err := json.Marshal(results[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(data)
+		largest = max(largest, len(data))
 	}
-	if len(keys) != 108 || len(programs) != 11 {
-		t.Errorf("%d distinct points share %d distinct programs, want 108 and 11", len(keys), len(programs))
+	if len(keys) != 108 || programs[32] != 11 {
+		t.Errorf("%d distinct points generated %d distinct programs, want 108 and 11", len(keys), programs[32])
 	}
-	if own := results[len(jobs)].Program; own == cholesky || programs[own] {
-		t.Error("a point on a 16-core machine shares a 32-core point's program")
+	if programs[16] != 1 || len(programs) != 2 {
+		t.Errorf("programs generated by machine core count = %v, want one of its own for the 16-core point", programs)
+	}
+	t.Logf("%d distinct results marshal to %d bytes, the largest to %d", len(keys), total, largest)
+	if total >= 2e6 {
+		t.Errorf("the %d distinct results marshal to %d bytes (largest %d), want under 2 MB", len(keys), total, largest)
 	}
 }

@@ -167,8 +167,8 @@ func TestStoreDiskResume(t *testing.T) {
 	if second.Cycles != first.Cycles || second.Energy.EDP != first.Energy.EDP {
 		t.Errorf("resumed result differs: %d vs %d cycles", second.Cycles, first.Cycles)
 	}
-	if second.Master != first.Master || second.Program.NumTasks() != first.Program.NumTasks() {
-		t.Error("resumed result lost breakdown or program details")
+	if second.Master != first.Master || second.TasksExecuted != first.TasksExecuted {
+		t.Error("resumed result lost breakdown or task counts")
 	}
 }
 
@@ -200,12 +200,16 @@ func TestStoreIgnoresCorruptFiles(t *testing.T) {
 		t.Errorf("quarantined file lost its content: %q", data)
 	}
 	// Valid JSON missing whole sections (a foreign or trimmed schema) must
-	// also be a miss, never a partially populated result.
-	if err := os.WriteFile(path, []byte(`{"Cycles": 42}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store.Get(key); ok {
-		t.Fatal("incomplete result file served as a cache hit")
+	// also be a miss, never a partially populated result. The second body
+	// is what an older binary's result looked like with its simulation
+	// fields lost.
+	for _, body := range []string{`{"Cycles": 42}`, `{"Cycles":42,"Program":{}}`} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if res, ok := store.Get(key); ok {
+			t.Fatalf("incomplete result file %s served as a cache hit with %d cycles", body, res.Cycles)
+		}
 	}
 	if _, err := e.Run(job); err != nil {
 		t.Fatal(err)
@@ -221,6 +225,48 @@ func TestStoreIgnoresCorruptFiles(t *testing.T) {
 	}
 	if _, ok := fresh.Get(key); !ok {
 		t.Error("re-simulated point not persisted under the original name")
+	}
+}
+
+// TestStoreLoadsOlderResults: a result file written by an older binary also
+// holds the program that ran. It must still load from disk as a hit with
+// unchanged cycles; it shrinks only when GC or a re-simulation replaces it.
+func TestStoreLoadsOlderResults(t *testing.T) {
+	dir := t.TempDir()
+	res := testResult(t)
+	b := task.NewBuilder("histogram")
+	b.Task("kernel", 1000).Add()
+	prog, err := json.Marshal(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["Program"] = prog
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "older.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := store.Get("older")
+	if !ok {
+		t.Fatal("result file with a program served as a miss")
+	}
+	if got.Cycles != res.Cycles || got.TasksExecuted != res.TasksExecuted {
+		t.Errorf("older result loaded as %d cycles, %d tasks; want %d, %d",
+			got.Cycles, got.TasksExecuted, res.Cycles, res.TasksExecuted)
 	}
 }
 
@@ -410,8 +456,8 @@ func TestGridSyntheticWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TasksExecuted != res.Program.NumTasks() || res.Program.NumTasks() != 36 {
-		t.Fatalf("synthetic run executed %d of %d tasks", res.TasksExecuted, res.Program.NumTasks())
+	if res.TasksExecuted != 36 {
+		t.Fatalf("synthetic run executed %d of 36 tasks", res.TasksExecuted)
 	}
 }
 
@@ -428,7 +474,7 @@ func renderResults(t *testing.T, results []*core.Result) []byte {
 	}
 	rows := make([]row, len(results))
 	for i, r := range results {
-		rows[i] = row{r.Program.NumTasks(), r.Cycles, r.Seconds, r.Energy.EnergyJoules, r.Energy.EDP}
+		rows[i] = row{r.TasksExecuted, r.Cycles, r.Seconds, r.Energy.EnergyJoules, r.Energy.EDP}
 	}
 	data, err := json.Marshal(rows)
 	if err != nil {
@@ -502,19 +548,16 @@ func TestCrashResume(t *testing.T) {
 		t.Fatal("cancelled sweep produced results for in-flight/skipped points")
 	}
 
-	// The store directory holds only complete, parsable results (plus the
-	// hidden disk index): exactly the points that finished, no temp files,
-	// no corrupt entries.
+	// The store directory holds only complete, parsable results: exactly
+	// the points that finished, no temp files (hidden ".KEY.tmp*"), no
+	// corrupt entries.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resultFiles := 0
 	for _, ent := range entries {
-		if strings.HasPrefix(ent.Name(), ".") {
-			continue // the disk index is a deliberate hidden artifact
-		}
-		if !strings.HasSuffix(ent.Name(), ".json") {
+		if strings.HasPrefix(ent.Name(), ".") || !strings.HasSuffix(ent.Name(), ".json") {
 			t.Errorf("interrupted store left a non-result file behind: %s", ent.Name())
 			continue
 		}

@@ -51,8 +51,8 @@ type StoreOptions struct {
 // content-addressed job keys. Lookups resolve through up to three tiers:
 //
 //	memory — bounded LRU of resident results (StoreOptions.MemBytes)
-//	disk   — JSON result files plus a persistent, crash-rebuildable index,
-//	         GCed by last access to StoreOptions.DiskBytes
+//	disk   — JSON result files, indexed in memory at open and GCed by
+//	         last access to StoreOptions.DiskBytes
 //	peers  — other fleet nodes' stores, over GET /results/{key}
 //
 // Store also deduplicates concurrent computations of the same key
@@ -77,7 +77,8 @@ type Store struct {
 	diskLimit int64
 	peers     PeerFetcher
 
-	// now stamps index accesses; swappable in tests.
+	// now stamps index accesses and disk hits' file mtimes; swappable in
+	// tests.
 	now func() time.Time
 }
 
@@ -94,8 +95,8 @@ type call struct {
 	err  error
 }
 
-// OpenStore creates a store from options, loading (or rebuilding) the disk
-// tier's index when a directory is configured.
+// OpenStore creates a store from options, building the disk tier's index
+// from the result files when a directory is configured.
 func OpenStore(opts StoreOptions) (*Store, error) {
 	s := &Store{
 		mem:       make(map[string]*list.Element),
@@ -174,14 +175,6 @@ func (s *Store) DiskBytesUsed() int64 {
 	return s.idx.total
 }
 
-// IndexRebuilt reports whether opening this store had to reconstruct the
-// disk index from the result files (missing, torn, or foreign index file).
-func (s *Store) IndexRebuilt() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.idx != nil && s.idx.rebuilt
-}
-
 // Get returns the cached result for a key, consulting memory first and then
 // the backing directory (disk reads happen outside the store lock). Peers
 // are deliberately not consulted: Get is the lookup behind each node's
@@ -200,11 +193,9 @@ func (s *Store) Get(key string) (*core.Result, bool) {
 	}
 	s.mu.Unlock()
 	if res, size, ok := s.load(key); ok {
+		s.touch(key)
 		s.mu.Lock()
 		s.insertMemLocked(key, res, size)
-		if s.idx != nil {
-			s.idx.touch(key, s.now().UnixNano())
-		}
 		s.mu.Unlock()
 		return res, true
 	}
@@ -358,13 +349,14 @@ func (s *Store) insertMemLocked(key string, res *core.Result, size int64) {
 	}
 }
 
-// touch refreshes a key's disk-index access stamp.
+// touch records a disk hit: it refreshes the key's index stamp and its
+// file's mtime, which the index is built from at the next open, so GC order
+// survives a restart. A failed stamp only skews that order.
 func (s *Store) touch(key string) {
-	if s.idx == nil {
-		return
-	}
+	now := s.now()
+	_ = os.Chtimes(s.path(key), now, now)
 	s.mu.Lock()
-	s.idx.touch(key, s.now().UnixNano())
+	s.idx.touch(key, now.UnixNano())
 	s.mu.Unlock()
 }
 
@@ -461,10 +453,10 @@ func (s *Store) load(key string) (*core.Result, int64, bool) {
 		return nil, 0, false
 	}
 	var res core.Result
-	// A decode error or missing section (a truncated write, or a file from
-	// a foreign schema sharing the key space) is a cache miss, never a
+	// A decode error or an incomplete result (a truncated write, or a file
+	// from a foreign schema sharing the key space) is a cache miss, never a
 	// partially populated result.
-	if err := json.Unmarshal(data, &res); err != nil || res.Result == nil || res.Program == nil {
+	if err := json.Unmarshal(data, &res); err != nil || !res.Complete() {
 		s.quarantine(key)
 		return nil, 0, false
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/runner"
-	"repro/internal/task"
 	"repro/internal/taskrt"
 )
 
@@ -22,16 +21,13 @@ import (
 // real simulations.
 type syntheticExec struct {
 	base core.Config
-	prog *task.Program
 
 	mu    sync.Mutex
 	calls int
 }
 
 func newSyntheticExec(base core.Config) *syntheticExec {
-	b := task.NewBuilder("synthetic-exec")
-	b.Task("kernel", 1000).Add()
-	return &syntheticExec{base: base, prog: b.Build()}
+	return &syntheticExec{base: base}
 }
 
 // cost is the synthetic objective: convex in cores and granularity with a
@@ -58,13 +54,14 @@ func (e *syntheticExec) Execute(_ context.Context, j runner.Job) (*core.Result, 
 	cycles := e.cost(j)
 	return &core.Result{
 		Result: &taskrt.Result{
-			Benchmark: j.Benchmark,
-			Runtime:   j.Runtime,
-			Scheduler: cfg.Scheduler,
-			Cycles:    cycles,
-			Seconds:   float64(cycles) / 1e9,
+			Benchmark:     j.Benchmark,
+			Runtime:       j.Runtime,
+			Scheduler:     cfg.Scheduler,
+			Cycles:        cycles,
+			Seconds:       float64(cycles) / 1e9,
+			TasksCreated:  1,
+			TasksExecuted: 1,
 		},
-		Program: e.prog,
 	}, nil
 }
 

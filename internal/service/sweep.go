@@ -283,7 +283,7 @@ func pointOf(idx int, j runner.Job, key string, base core.Config, res *core.Resu
 	case err != nil:
 		p.Error = err.Error()
 	case res != nil:
-		p.Tasks = res.Program.NumTasks()
+		p.Tasks = res.TasksExecuted
 		p.Cycles = res.Cycles
 		p.Seconds = res.Seconds
 		p.EnergyJ = res.Energy.EnergyJoules

@@ -28,6 +28,15 @@ fail() {
   exit 1
 }
 
+# no_dotfiles DIR fails on any hidden file in a store directory: the
+# "$dir"/* globs below skip them, and a store holds none (a ".KEY.tmp*" file
+# is a leftover of an interrupted write).
+no_dotfiles() {
+  local dots
+  dots=$(find "$1" -mindepth 1 -maxdepth 1 -name '.*')
+  [ -z "$dots" ] || fail "store $1 holds leftover dotfiles: $dots"
+}
+
 go build -o "$bin" ./cmd/sweepd
 
 "$bin" -addr 127.0.0.1:0 -store "$store" >"$log" 2>&1 &
@@ -67,6 +76,7 @@ for f in "$store"/*; do
     *) fail "store holds a non-result file: $f" ;;
   esac
 done
+no_dotfiles "$store"
 
 # Submit a sweep too large to finish, then SIGTERM mid-run: the daemon must
 # drain gracefully and exit 0.
@@ -98,5 +108,6 @@ for f in "$store"/*; do
     *) fail "store holds a non-result file after drain: $f" ;;
   esac
 done
+no_dotfiles "$store"
 
 echo "PASS: sweepd e2e (submit, stream, SIGTERM drain)"

@@ -37,6 +37,15 @@ fail() {
   exit 1
 }
 
+# no_dotfiles DIR fails on any hidden file in a store directory: the
+# "$dir"/* globs below skip them, and a store holds none (a ".KEY.tmp*" file
+# is a leftover of an interrupted write).
+no_dotfiles() {
+  local dots
+  dots=$(find "$1" -mindepth 1 -maxdepth 1 -name '.*')
+  [ -z "$dots" ] || fail "store $1 holds leftover dotfiles: $dots"
+}
+
 go build -o "$workdir/sweepd" ./cmd/sweepd
 go build -o "$workdir/sweep" ./cmd/sweep
 
@@ -208,6 +217,7 @@ peer_fetches=$(echo "$coord2_metrics" | awk '/^store_peer_fetches_total\{.*outco
 [ "$peer_fetches" -ge 12 ] || fail "peer fetch counter recorded $peer_fetches hits, want >= 12"
 # The fetched results were persisted into the second store (warm restart).
 ls "$workdir/store2"/*.json >/dev/null 2>&1 || fail "peer-fetched results not persisted to store2"
+no_dotfiles "$workdir/store2"
 echo "cold coordinator served 12/12 points by peer fetch ($peer_hits peer hits, 0 execs, 0 dispatches)"
 
 # Every coordinator store file is complete JSON (the merge is atomic).
@@ -219,5 +229,6 @@ for f in "$workdir/store"/*; do
   *) fail "store holds a non-result file: $f" ;;
   esac
 done
+no_dotfiles "$workdir/store"
 
 echo "PASS: sweepd fleet e2e (coordinator + 2 workers, SIGKILL mid-sweep, peer-fetch coordinator, byte-identical results)"
