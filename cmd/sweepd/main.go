@@ -39,11 +39,11 @@
 //
 // # Fleet mode
 //
-// One sweepd can coordinate many others. Start workers with -worker (they
-// serve only POST /execute and /healthz), then point a coordinator at them:
+// Every sweepd serves POST /execute, so any sweepd can be a worker of
+// another. Point a coordinator at plain sweepds:
 //
-//	sweepd -worker -addr :8081
-//	sweepd -worker -addr :8082
+//	sweepd -addr :8081
+//	sweepd -addr :8082
 //	sweepd -addr :8080 -store results/ -peers http://host1:8081,http://host2:8082
 //
 // or register workers at runtime:
@@ -55,7 +55,10 @@
 // merges all results into its own content-addressed store — so the fleet
 // is crash-tolerant and warm keys are never dispatched twice. Its own
 // engine is the standby worker: it simulates only once every registered
-// worker of a sweep has died.
+// worker of a sweep has died. A worker runs each /execute point on its own
+// engine, never on its own fleet, so a fleet stays one level deep, and the
+// -workers bound holds across the points a node executes for others and
+// those it runs for its own sweeps.
 //
 // # Tiered store
 //
@@ -65,8 +68,8 @@
 // that order across restarts), over the rest of the fleet (-store-peers): a
 // key missing from both local tiers is fetched from peers'
 // GET /v1/results/{key} before being simulated, so any result computed
-// anywhere in the fleet is computed once. Every sweepd — coordinator or
-// worker — serves GET /v1/results/{key} from its local tiers only.
+// anywhere in the fleet is computed once. Every sweepd serves
+// GET /v1/results/{key} from its local tiers only.
 //
 // # Multi-tenancy
 //
@@ -86,7 +89,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -94,7 +96,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/remote"
 	"repro/internal/runner"
 	"repro/internal/service"
@@ -111,15 +112,11 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent simulations across all sweeps (0 = GOMAXPROCS)")
 		verbose   = flag.Bool("v", false, "log per-simulation progress")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "maximum time to wait for connections to close after drain")
-		workerOn  = flag.Bool("worker", false, "run as a fleet execution worker: serve only POST /execute and /healthz")
 		peers     = flag.String("peers", "", "comma-separated worker base URLs to shard sweeps across (coordinator mode)")
 		peerSlots = flag.Int("peer-slots", 0, "concurrent points dispatched to each -peers worker (0 = default)")
 		maxPoints = flag.Int("max-points", service.DefaultMaxPoints, "largest grid expansion a submission may request")
 	)
 	flag.Parse()
-	if *workerOn && *peers != "" {
-		log.Fatalf("sweepd: -worker and -peers are mutually exclusive (a worker executes points, a coordinator dispatches them)")
-	}
 
 	// The peer source is attached to the store before any simulation: a cold
 	// key then resolves memory -> disk -> peers -> simulate.
@@ -149,71 +146,30 @@ func main() {
 	// next to the protocol lines std log prints below.
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-	var srv *service.Server
-	mux := http.NewServeMux()
-	if *workerOn {
-		// Workers expose only the execution protocol — points arrive from a
-		// coordinator, never as grid submissions — plus the same
-		// observability surface a coordinator has: /metrics covering the
-		// worker's engine, store and request handling, and /debug/pprof.
-		reg := obs.NewRegistry()
-		engine.Metrics = runner.NewEngineMetrics(reg)
-		engine.Store.Metrics = runner.NewStoreMetrics(reg)
-		runner.RegisterStoreGauges(reg, engine.Store)
-		if ps, ok := peerSource.(*remote.PeerSource); ok {
-			ps.Metrics = remote.NewPeerMetrics(reg)
-		}
-		wk := &remote.Worker{
-			Engine:  engine,
-			Log:     logger,
-			Metrics: remote.NewWorkerMetrics(reg),
-		}
-		mux.Handle("POST /execute", wk.Handler())
-		// Every fleet node serves its store's local tiers to its peers,
-		// under /v1 like the coordinator API surface.
-		mux.Handle("GET /v1/results/{key}", remote.ResultsHandler(engine.Store))
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"ok":true,"worker":true}`)
-		})
-		mux.Handle("GET /metrics", obs.Handler(reg))
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		log.Printf("sweepd: worker mode (serving /execute for a coordinator)")
-	} else {
-		srv = service.New(engine, *workers)
-		srv.MaxPoints = *maxPoints
-		srv.Log = logger
-		if ps, ok := peerSource.(*remote.PeerSource); ok {
-			ps.Metrics = remote.NewPeerMetrics(srv.Registry())
-		}
-		// One dispatch-metric family shared by every fleet executor, so
-		// /metrics breaks dispatches down per worker URL.
-		dispatchMetrics := remote.NewMetrics(srv.Registry())
-		newExecutor := func(url string) *remote.Executor {
-			ex := remote.NewExecutor(url)
-			ex.Metrics = dispatchMetrics
-			return ex
-		}
-		srv.WorkerFactory = func(url string) runner.Executor { return newExecutor(url) }
-		for _, peer := range strings.Split(*peers, ",") {
-			if peer = strings.TrimSpace(peer); peer == "" {
-				continue
-			}
-			peer = strings.TrimRight(peer, "/")
-			srv.RegisterWorker(peer, newExecutor(peer), *peerSlots)
-			log.Printf("sweepd: registered worker %s", peer)
-		}
-		// Coordinators deliberately do not serve /execute: a node either
-		// dispatches points or executes them, so a fleet stays one level
-		// deep. The engine's -workers bound would hold across both roles;
-		// the coordinator's engine is already its own fleet's standby.
-		mux.Handle("/", srv.Handler())
+	srv := service.New(engine, *workers)
+	srv.MaxPoints = *maxPoints
+	srv.Log = logger
+	if ps, ok := peerSource.(*remote.PeerSource); ok {
+		ps.Metrics = remote.NewPeerMetrics(srv.Registry())
 	}
-	hs := &http.Server{Handler: mux}
+	// One dispatch-metric family shared by every fleet executor, so
+	// /metrics breaks dispatches down per worker URL.
+	dispatchMetrics := remote.NewMetrics(srv.Registry())
+	newExecutor := func(url string) *remote.Executor {
+		ex := remote.NewExecutor(url)
+		ex.Metrics = dispatchMetrics
+		return ex
+	}
+	srv.WorkerFactory = func(url string) runner.Executor { return newExecutor(url) }
+	for _, peer := range strings.Split(*peers, ",") {
+		if peer = strings.TrimSpace(peer); peer == "" {
+			continue
+		}
+		peer = strings.TrimRight(peer, "/")
+		srv.RegisterWorker(peer, newExecutor(peer), *peerSlots)
+		log.Printf("sweepd: registered worker %s", peer)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -237,11 +193,8 @@ func main() {
 
 	// Drain: reject new submissions, cancel running sweeps, wait for their
 	// final state to flush, then close the listener and open connections.
-	// A worker has no sweeps of its own; Shutdown below waits out its
-	// in-flight /execute requests.
-	if srv != nil {
-		srv.Drain(fmt.Errorf("sweepd: draining on signal"))
-	}
+	// Shutdown waits out the /execute requests in flight for coordinators.
+	srv.Drain(fmt.Errorf("sweepd: draining on signal"))
 	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {

@@ -7,12 +7,11 @@ import (
 )
 
 // envelopeHelpers are the designated error writers: Server.httpError renders
-// the documented {"error","code"} envelope for the /v1 API, and the remote
-// worker protocol's writeError is its wire-format counterpart. Only these
-// may touch raw status-writing primitives.
+// the documented {"error","code"} envelope for every route, the fleet
+// protocol's POST /execute included. Only these may touch raw
+// status-writing primitives.
 var envelopeHelpers = map[string]bool{
-	"httpError":  true,
-	"writeError": true,
+	"httpError": true,
 }
 
 // APIEnvelope forbids raw HTTP error responses in internal/service and
@@ -22,7 +21,7 @@ var envelopeHelpers = map[string]bool{
 // (README "HTTP API v1 reference") and is logged with its correlation ID.
 var APIEnvelope = &Analyzer{
 	Name:  "apienvelope",
-	Doc:   "route every HTTP error response through the envelope helper (httpError/writeError)",
+	Doc:   "route every HTTP error response through the envelope helper (httpError)",
 	Scope: func(pkgPath string) bool { return hasPathSuffix(pkgPath, "internal/service", "internal/remote") },
 	Run:   runAPIEnvelope,
 }
@@ -39,11 +38,11 @@ func runAPIEnvelope(pass *Pass) error {
 				return true
 			}
 			if f := funcObj(pass.Info, call); isPkgFunc(f, "net/http", "Error") {
-				pass.Reportf(call.Pos(), "raw http.Error bypasses the error envelope; use the httpError/writeError helper so the response carries a catalog code")
+				pass.Reportf(call.Pos(), "raw http.Error bypasses the error envelope; use the httpError helper so the response carries a catalog code")
 				return true
 			}
 			if status, ok := errorStatusArg(pass.Info, call); ok {
-				pass.Reportf(call.Pos(), "WriteHeader(%d) outside the envelope helper: error statuses must go through httpError/writeError so the body carries a catalog code", status)
+				pass.Reportf(call.Pos(), "WriteHeader(%d) outside the envelope helper: error statuses must go through httpError so the body carries a catalog code", status)
 			}
 			return true
 		})

@@ -66,14 +66,15 @@ func benchServiceSubmitFirstRow(b *testing.B, extra map[string]float64) {
 }
 
 // benchServiceDispatchPoints measures fleet dispatch throughput: a
-// coordinator sharding a small grid over two in-process HTTP workers, from
-// submission to the last settled point. Worker stores stay warm across
-// iterations, so the steady state times the dispatch round-trips and the
-// coordinator's store/queue machinery rather than the simulations.
+// coordinator sharding a small grid over two in-process HTTP workers (plain
+// service nodes serving POST /execute), from submission to the last settled
+// point. Worker stores stay warm across iterations, so the steady state
+// times the dispatch round-trips and the coordinator's store/queue
+// machinery rather than the simulations.
 func benchServiceDispatchPoints(b *testing.B, extra map[string]float64) {
 	newWorker := func() *httptest.Server {
 		eng := &runner.Engine{Base: core.DefaultConfig(core.TDM), Store: runner.NewStore(), Workers: 2}
-		return httptest.NewServer((&remote.Worker{Engine: eng}).Handler())
+		return httptest.NewServer(service.New(eng, 0).Handler())
 	}
 	w1, w2 := newWorker(), newWorker()
 	defer w1.Close()
@@ -167,9 +168,8 @@ func benchStorePeerFetch(b *testing.B, extra map[string]float64) {
 	if err := peerStore.Put(key, canned); err != nil {
 		b.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /v1/results/{key}", remote.ResultsHandler(peerStore))
-	peer := httptest.NewServer(mux)
+	peerEngine := &runner.Engine{Base: core.DefaultConfig(core.Software), Store: peerStore}
+	peer := httptest.NewServer(service.New(peerEngine, 0).Handler())
 	defer peer.Close()
 
 	ctx := b.Context()

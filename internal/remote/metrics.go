@@ -31,27 +31,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	}
 }
 
-// WorkerMetrics instruments the serving half: POST /execute requests handled
-// by a Worker.
-type WorkerMetrics struct {
-	// Requests counts handled requests by outcome: "ok", "bad_request"
-	// (undecodable job), "failed" (the point itself failed), "abandoned"
-	// (the dispatcher gave up while the job was queued or running).
-	Requests *obs.CounterVec
-	// RequestSeconds times request handling end to end, including time spent
-	// queued for an execution slot.
-	RequestSeconds *obs.Histogram
-}
-
-// NewWorkerMetrics registers the worker request metric family on the
-// registry.
-func NewWorkerMetrics(reg *obs.Registry) *WorkerMetrics {
-	return &WorkerMetrics{
-		Requests:       reg.CounterVec("remote_worker_requests_total", "Worker /execute requests by outcome (ok, bad_request, failed, abandoned).", "outcome"),
-		RequestSeconds: reg.Histogram("remote_worker_request_seconds", "Worker /execute handling latency, including slot queueing.", obs.LatencyBuckets),
-	}
-}
-
 // dispatchClass buckets an Execute error for the Errors counter, mirroring
 // the runner's classification: cancellation is the dispatcher's own doing,
 // transient errors are channel failures worth retrying elsewhere, everything

@@ -16,7 +16,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/task"
 	"repro/internal/taskrt"
-	"repro/internal/workloads/synth"
 )
 
 func testBase() core.Config {
@@ -25,55 +24,8 @@ func testBase() core.Config {
 	return cfg
 }
 
-func TestJobCodecRoundTrip(t *testing.T) {
-	base := testBase()
-	prog, err := synth.Generate("synth:stencil:width=4,depth=3,mean=10", base.Machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []runner.Job{
-		{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO},
-		{Benchmark: "cholesky", Runtime: taskrt.TDM, Scheduler: sched.Locality, Cores: 16, Granularity: 64, Label: "grid"},
-		{Benchmark: prog.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO, Program: prog, Label: "replay"},
-	}
-	for _, j := range jobs {
-		data, err := EncodeJob(j)
-		if err != nil {
-			t.Fatalf("encode %s: %v", j.Desc(), err)
-		}
-		back, err := DecodeJob(data)
-		if err != nil {
-			t.Fatalf("decode %s: %v", j.Desc(), err)
-		}
-		// The decoded job must content-address identically: same point,
-		// same store key, on every machine in the fleet.
-		if back.Key(base) != j.Key(base) {
-			t.Errorf("job %s changed its key across the wire", j.Desc())
-		}
-	}
-}
-
-func TestJobCodecRejectsMutateAndGarbage(t *testing.T) {
-	mutated := runner.Job{
-		Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Mutate: func(cfg *core.Config) { cfg.DMU.AccessLatency = 4 },
-	}
-	if _, err := EncodeJob(mutated); err == nil {
-		t.Error("job with a Mutate closure encoded silently (the mutation would be dropped)")
-	}
-	for _, data := range []string{
-		`not json`,
-		`{"benchmark":"histogram","runtime":"no-such-runtime"}`,
-		`{"benchmark":"histogram","runtime":"software","bogus":1}`,
-		`{"benchmark":"histogram","runtime":"software","program":{"schema":99}}`,
-	} {
-		if _, err := DecodeJob([]byte(data)); err == nil {
-			t.Errorf("DecodeJob(%q) accepted garbage", data)
-		}
-	}
-}
-
-// workerServer hosts a Worker over a real engine, as sweepd -worker does.
+// workerServer hosts a plain service node over a real engine: every sweepd
+// serves POST /execute.
 func workerServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	return workerServerFor(t, &runner.Engine{Base: testBase(), Store: runner.NewStore()})
@@ -81,9 +33,7 @@ func workerServer(t *testing.T) *httptest.Server {
 
 func workerServerFor(t *testing.T, engine *runner.Engine) *httptest.Server {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.Handle("POST /execute", (&Worker{Engine: engine}).Handler())
-	ts := httptest.NewServer(mux)
+	ts := httptest.NewServer(service.New(engine, 0).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -126,6 +76,16 @@ func TestExecutorErrorClassification(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "no-such-benchmark") {
 		t.Errorf("permanent error does not identify the point: %v", err)
+	}
+
+	// A job body beyond the worker's 64 KiB bound: a 400 before anything
+	// is simulated, and permanent, since the same job is too large for
+	// every worker.
+	_, err = exec.Execute(context.Background(), runner.Job{
+		Benchmark: strings.Repeat("x", 100<<10), Runtime: taskrt.Software, Scheduler: sched.FIFO,
+	})
+	if err == nil || runner.IsTransient(err) || !strings.Contains(err.Error(), "too large") {
+		t.Errorf("oversized job returned %v, want a permanent too-large rejection", err)
 	}
 
 	// A dead worker: transient, eligible for requeue.
@@ -321,5 +281,52 @@ func TestCoordinatorWithRemoteExecutor(t *testing.T) {
 	}
 	if n := workerEngine.Metrics.Execs.Value(); n != 2 {
 		t.Errorf("worker simulated %v points, want 2 (aliases must dedup, not re-dispatch)", n)
+	}
+}
+
+// TestExecutedPointsStayOnTheNode: a point sent to a node's POST /execute
+// runs on that node's engine, never on the node's own fleet, so a fleet
+// stays one level deep even though every node is a coordinator too.
+// Coordinator A dispatches to node B, and B has its own worker C
+// registered: B simulates both points, and neither A nor C simulates any.
+func TestExecutedPointsStayOnTheNode(t *testing.T) {
+	newEngine := func() *runner.Engine {
+		return &runner.Engine{Base: testBase(), Store: runner.NewStore(),
+			Metrics: runner.NewEngineMetrics(obs.NewRegistry())}
+	}
+	engA, engB, engC := newEngine(), newEngine(), newEngine()
+	c := workerServerFor(t, engC)
+	nodeB := service.New(engB, 2)
+	nodeB.RegisterWorker(c.URL, NewExecutor(c.URL), 2)
+	b := httptest.NewServer(nodeB.Handler())
+	t.Cleanup(b.Close)
+	nodeA := service.New(engA, 2)
+	nodeA.RegisterWorker(b.URL, NewExecutor(b.URL), 2)
+	a := httptest.NewServer(nodeA.Handler())
+	t.Cleanup(a.Close)
+
+	got, err := (&Client{URL: a.URL}).Sweep(context.Background(), service.SubmitRequest{
+		Benchmarks: []string{"histogram"},
+		Runtimes:   []string{"software", "tdm"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("sweep streamed %d points, want 2", len(got))
+	}
+	for _, p := range got {
+		if p.Error != "" {
+			t.Fatalf("point %d failed: %s", p.Index, p.Error)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		eng  *runner.Engine
+		want float64
+	}{{"A", engA, 0}, {"B", engB, 2}, {"C", engC, 0}} {
+		if got := n.eng.Metrics.Execs.Value(); got != n.want {
+			t.Errorf("node %s simulated %v points, want %v", n.name, got, n.want)
+		}
 	}
 }

@@ -13,47 +13,18 @@ import (
 	"repro/internal/runner"
 )
 
-// This file is the peer tier of the fleet-wide result cache. Every sweepd —
-// coordinator or worker — serves its store's local tiers read-only under
-// GET /results/{key} (ResultsHandler), and a store configured with peers
-// consults them through PeerSource before simulating a cold point. The
-// handler answers from memory and disk only, never from its own peers, so a
-// lookup fans out one hop and cannot cascade around the fleet.
+// This file is the peer tier of the fleet-wide result cache. Every sweepd
+// serves its store's local tiers read-only under GET /v1/results/{key} (see
+// internal/service), and a store configured with peers consults them
+// through PeerSource before simulating a cold point. A node answers from
+// memory and disk only, never from its own peers, so a lookup fans out one
+// hop and cannot cascade around the fleet.
 
 // maxPeerResultBytes bounds one peer response body. A result is a few
 // kilobytes, but a peer running an older binary still embeds the program in
 // each result (11.6 MB for one streamcluster point), and its answers stay
 // welcome.
 const maxPeerResultBytes = 1 << 28
-
-// ResultsHandler serves GET /results/{key}: the store's cached result for
-// the key as JSON, or 404 when the local tiers miss. Mount it on a mux route
-// like "GET /results/{key}".
-func ResultsHandler(st *runner.Store) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key, err := url.PathUnescape(r.PathValue("key"))
-		if err != nil || key == "" {
-			writeError(w, http.StatusBadRequest, errBadKey)
-			return
-		}
-		res, ok := st.Get(key)
-		if !ok {
-			writeError(w, http.StatusNotFound, errNoResult)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(res)
-	})
-}
-
-var (
-	errBadKey   = &staticError{"bad result key"}
-	errNoResult = &staticError{"no cached result for key"}
-)
-
-type staticError struct{ msg string }
-
-func (e *staticError) Error() string { return e.msg }
 
 // PeerSource implements runner.PeerFetcher over a set of sweepd base URLs.
 // Peers are tried in order and the first hit wins; every failure — refused
@@ -64,15 +35,13 @@ type PeerSource struct {
 	URLs []string
 	// Client is the HTTP client; nil uses http.DefaultClient.
 	Client *http.Client
-	// Timeout bounds each per-peer attempt (0 means DefaultPeerTimeout). A
-	// peer lookup is a read of an already-computed result, so it should be
-	// fast or abandoned — the fallback is simulating the point locally.
-	Timeout time.Duration
 	// Metrics, when non-nil, counts and times peer fetches.
 	Metrics *PeerMetrics
 }
 
-// DefaultPeerTimeout bounds one peer's GET /results/{key} round-trip.
+// DefaultPeerTimeout bounds one peer's GET /v1/results/{key} round-trip. A
+// peer lookup is a read of an already-computed result, so it should be fast
+// or abandoned — the fallback is simulating the point locally.
 const DefaultPeerTimeout = 10 * time.Second
 
 // NewPeerSource returns a peer source over the given base URLs, skipping
@@ -97,13 +66,6 @@ func (p *PeerSource) client() *http.Client {
 		return p.Client
 	}
 	return http.DefaultClient
-}
-
-func (p *PeerSource) timeout() time.Duration {
-	if p.Timeout > 0 {
-		return p.Timeout
-	}
-	return DefaultPeerTimeout
 }
 
 // FetchResult asks each peer in turn for the key and returns the first hit.
@@ -135,7 +97,7 @@ func (p *PeerSource) fetchOne(ctx context.Context, peer, key string) (*core.Resu
 }
 
 func (p *PeerSource) get(ctx context.Context, peer, key string) (*core.Result, string) {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout())
+	ctx, cancel := context.WithTimeout(ctx, DefaultPeerTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		peer+"/v1/results/"+url.PathEscape(key), nil)

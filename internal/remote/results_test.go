@@ -25,23 +25,19 @@ func cachedResult(t *testing.T) (*core.Result, string) {
 	return res, eng.Key(job)
 }
 
-// resultsServer serves GET /v1/results/{key} over a store seeded with the
-// given key.
+// resultsServer is a service node serving GET /v1/results/{key} over a
+// store seeded with the given key.
 func resultsServer(t *testing.T, key string, res *core.Result) *httptest.Server {
 	t.Helper()
 	st := runner.NewStore()
 	if err := st.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("GET /v1/results/{key}", ResultsHandler(st))
-	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close)
-	return ts
+	return workerServerFor(t, &runner.Engine{Base: testBase(), Store: st})
 }
 
-// TestResultsHandler: hits return the stored result byte-comparably, misses
-// 404, and hostile keys round-trip through URL escaping.
+// TestResultsHandler: a node's GET /v1/results/{key} returns the stored
+// result byte-comparably on a hit and 404s on a miss.
 func TestResultsHandler(t *testing.T) {
 	res, key := cachedResult(t)
 	ts := resultsServer(t, key, res)
@@ -83,11 +79,7 @@ func TestPeerSourceFirstHitWins(t *testing.T) {
 	// Peer 4: would panic the test if consulted after a hit.
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	coldStore := runner.NewStore()
-	coldMux := http.NewServeMux()
-	coldMux.Handle("GET /v1/results/{key}", ResultsHandler(coldStore))
-	cold := httptest.NewServer(coldMux)
-	t.Cleanup(cold.Close)
+	cold := workerServer(t)
 	warm := resultsServer(t, key, res)
 	tripwire := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
 		t.Error("peer after the first hit was consulted")

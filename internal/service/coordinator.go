@@ -154,7 +154,7 @@ func (s *Server) fleetSnapshot() []*worker {
 
 // RegisterWorkerRequest is the body of PUT /workers.
 type RegisterWorkerRequest struct {
-	// URL is the worker's base URL (its sweepd -worker address).
+	// URL is the worker's base URL (any sweepd's address).
 	URL string `json:"url"`
 	// Slots bounds concurrent points dispatched to this worker; 0 uses the
 	// default.

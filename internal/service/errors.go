@@ -29,6 +29,10 @@ const (
 	CodeInvalidTenant = "invalid_tenant"
 	// CodeInvalidWorker: the worker registration body is invalid.
 	CodeInvalidWorker = "invalid_worker"
+	// CodePointFailed: the point sent to POST /execute failed on this node
+	// (unknown benchmark, simulation error); retrying elsewhere would fail
+	// the same way.
+	CodePointFailed = "point_failed"
 	// CodeNotFound: no such sweep, tenant, or cached result.
 	CodeNotFound = "not_found"
 	// CodeQuotaExceeded: the tenant is over an admission quota; the envelope

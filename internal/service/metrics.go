@@ -22,6 +22,10 @@ type serverMetrics struct {
 	firstRowSeconds *obs.Histogram
 	httpRequests    *obs.CounterVec // code
 
+	// POST /execute requests this node served as a fleet worker.
+	executeRequests *obs.CounterVec // outcome: ok | bad_request | failed | abandoned
+	executeSeconds  *obs.Histogram
+
 	workerDispatched *obs.CounterVec // worker
 	workerRequeued   *obs.CounterVec // worker
 	workerFailed     *obs.CounterVec // worker
@@ -49,6 +53,9 @@ func (s *Server) initMetrics() {
 		points:          reg.CounterVec("service_points_completed_total", "Grid points settled across all sweeps, by outcome (ok, failed, cancelled).", "outcome"),
 		firstRowSeconds: reg.Histogram("service_submit_to_first_row_seconds", "Latency from sweep submission to its first settled point.", obs.LatencyBuckets),
 		httpRequests:    reg.CounterVec("service_http_requests_total", "HTTP requests served, by status code.", "code"),
+
+		executeRequests: reg.CounterVec("remote_worker_requests_total", "Worker /execute requests by outcome (ok, bad_request, failed, abandoned).", "outcome"),
+		executeSeconds:  reg.Histogram("remote_worker_request_seconds", "Worker /execute handling latency, including slot queueing.", obs.LatencyBuckets),
 
 		workerDispatched: reg.CounterVec("service_worker_points_dispatched_total", "Points dispatched to each worker, the coordinator's own engine as local.", "worker"),
 		workerRequeued:   reg.CounterVec("service_worker_points_requeued_total", "Points requeued after a transport failure, by the worker that failed.", "worker"),

@@ -7,8 +7,9 @@
 // NDJSON while the sweep runs.
 //
 // Endpoints (see cmd/sweepd for the daemon wrapping this package). The API
-// is versioned under /v1; only /healthz, /metrics and /debug/pprof are
-// unversioned, and every other path 404s with the standard error envelope:
+// is versioned under /v1; only /healthz, /metrics, /debug/pprof and the
+// fleet protocol's POST /execute are unversioned, and every other path 404s
+// with the standard error envelope:
 //
 //	POST /v1/sweeps            submit a grid; ?stream=1 streams results on
 //	                           the same connection and cancels the sweep
@@ -22,6 +23,7 @@
 //	GET  /v1/tenants           list tenants, their weights, quotas and load
 //	PUT  /v1/tenants/{id}       configure a tenant (weight, quotas; may preempt)
 //	GET  /v1/results/{key}      serve a cached result from the local store tiers
+//	POST /execute              run one encoded job on this node's engine
 //	GET  /healthz              liveness and drain state
 //
 // Every point of every sweep runs through one launch loop: it takes its
@@ -31,6 +33,11 @@
 // the standby worker "local", which runs every point while no worker is
 // registered and finishes a sweep whose whole fleet died — see
 // coordinator.go for the dispatch and failure semantics.
+//
+// Every node is also a worker: POST /execute and GET /v1/results/{key} are
+// the serving half of the fleet protocol, and internal/remote is the asking
+// half. POST /execute keeps its pre-/v1 path so nodes of different releases
+// keep dispatching to each other.
 //
 // Cancellation is plumbed through the whole execution path: cancelling a
 // sweep (explicitly, by disconnecting a ?stream=1 submission, or by draining
@@ -166,7 +173,7 @@ func New(engine *runner.Engine, workers int) *Server {
 	// v1 routes were deprecated for one release and are gone: they now 404
 	// with the standard envelope like any other unknown path. /healthz,
 	// /metrics and /debug/pprof are operational endpoints and stay
-	// unversioned.
+	// unversioned, as does POST /execute (see handleExecute).
 	apiRoute := func(pattern string, h http.HandlerFunc) {
 		method, path, _ := strings.Cut(pattern, " ")
 		mux.HandleFunc(method+" /v1"+path, h)
@@ -181,6 +188,7 @@ func New(engine *runner.Engine, workers int) *Server {
 	apiRoute("GET /tenants", s.handleListTenants)
 	apiRoute("PUT /tenants/{id}", s.handleConfigureTenant)
 	apiRoute("GET /results/{key}", s.handleResult)
+	mux.HandleFunc("POST /execute", s.handleExecute)
 	// Everything else — including the removed unprefixed aliases — gets the
 	// enveloped 404 instead of the mux's plain-text one.
 	mux.HandleFunc("/", s.handleNotFound)
@@ -720,6 +728,49 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusNotFound, fmt.Errorf("no cached result for key %q", key))
 		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	writeJSON(w, res)
+}
+
+// handleExecute serves POST /execute: one job encoded by EncodeJob, run
+// through this node's engine and store — never dispatched to this node's own
+// fleet, so a fleet stays one level deep — and its result returned as JSON.
+// Simulations beyond the engine's Workers bound queue for a slot, and
+// cancelling the request cancels the simulation at its next task boundary.
+// The status classifies a failure for the dispatching coordinator: 400 for
+// an unreadable or undecodable job, 422 when the point itself failed (a
+// permanent error: another worker would fail it the same way).
+func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
+	start := s.now()
+	outcome := func(o string) {
+		s.met.executeRequests.With(o).Inc()
+		s.met.executeSeconds.Observe(s.now().Sub(start).Seconds())
+	}
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	if err != nil {
+		outcome("bad_request")
+		s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidBody, fmt.Errorf("read job: %w", err)))
+		return
+	}
+	j, err := DecodeJob(data)
+	if err != nil {
+		outcome("bad_request")
+		s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidBody, err))
+		return
+	}
+	res, err := s.engine.RunContext(r.Context(), j)
+	if err != nil {
+		if r.Context().Err() != nil {
+			outcome("abandoned")
+		} else {
+			outcome("failed")
+		}
+		s.httpError(w, r, http.StatusUnprocessableEntity, coded(CodePointFailed, err))
+		return
+	}
+	outcome("ok")
+	s.log().Info("point executed",
+		"req", requestID(r.Context()), "point", j.Desc(), "elapsed", s.now().Sub(start))
 	w.Header().Set("Content-Type", "application/json")
 	writeJSON(w, res)
 }

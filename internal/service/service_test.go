@@ -569,6 +569,75 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
+// TestExecuteEndpoint pins POST /execute, the worker half of the fleet
+// protocol every node serves: 200 with the result for a good job, 400
+// invalid_body for an unreadable, oversized or undecodable one, 422
+// point_failed when the point itself fails, and one
+// remote_worker_requests_total count per request by outcome.
+func TestExecuteEndpoint(t *testing.T) {
+	srv, ts := testServer(t, nil)
+	job := runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: "fifo"}
+	body, err := EncodeJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/execute", string(body))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("good job: status %d", resp.StatusCode)
+	}
+	got := decode[core.Result](t, resp.Body)
+	resp.Body.Close()
+	want, err := job.Run(srv.engine.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Complete() || got.Cycles != want.Cycles {
+		t.Errorf("executed point = %d cycles (complete %v), want %d", got.Cycles, got.Complete(), want.Cycles)
+	}
+
+	for _, tc := range []struct {
+		name, body string
+		wantStatus int
+		wantCode   string
+	}{
+		{"garbage", `not json`, http.StatusBadRequest, CodeInvalidBody},
+		{"oversized", `{"benchmark":"` + strings.Repeat("x", 100<<10) + `","runtime":"software"}`,
+			http.StatusBadRequest, CodeInvalidBody},
+		{"broken point", `{"benchmark":"no-such-benchmark","runtime":"software"}`,
+			http.StatusUnprocessableEntity, CodePointFailed},
+	} {
+		resp := postJSON(t, ts.URL+"/execute", tc.body)
+		er := decode[ErrorResponse](t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.wantStatus || er.Code != tc.wantCode {
+			t.Errorf("%s: status %d code %q, want %d %q", tc.name, resp.StatusCode, er.Code, tc.wantStatus, tc.wantCode)
+		}
+		if len(er.Error) > 1024 {
+			t.Errorf("%s: error message is %d bytes long", tc.name, len(er.Error))
+		}
+	}
+
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mr.Body.Close()
+	text, err := io.ReadAll(mr.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`remote_worker_requests_total{outcome="ok"} 1`,
+		`remote_worker_requests_total{outcome="bad_request"} 2`,
+		`remote_worker_requests_total{outcome="failed"} 1`,
+		"remote_worker_request_seconds_count 4",
+	} {
+		if !strings.Contains(string(text), want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t, nil)
 	// A finished sweep populates the service counters before the scrape.

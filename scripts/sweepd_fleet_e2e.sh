@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end exercise of the distributed sweep fleet: boot a coordinator and
-# two -worker daemons, submit a grid through `sweep -remote`, SIGKILL one
-# worker while the sweep is running, and verify that the sweep still
-# completes with output byte-identical to an in-process run — i.e. the
-# killed worker's points were requeued onto the survivor, not lost.
+# two worker daemons (plain sweepds: every sweepd serves POST /execute),
+# submit a grid through `sweep -remote`, SIGKILL one worker while the sweep
+# is running, and verify that the sweep still completes with output
+# byte-identical to an in-process run — i.e. the killed worker's points were
+# requeued onto the survivor, not lost.
 # Along the way it scrapes /metrics on the coordinator and the surviving
 # worker (mid-sweep and after completion) and asserts the observability
 # counters recorded what actually happened: the requeues after the kill, the
@@ -77,12 +78,12 @@ GRID=(-workload "synth:layered:seed=3,width=64,depth=400,mean=60"
 # Reference: an uninterrupted in-process run of the same grid.
 "$workdir/sweep" "${GRID[@]}" -o "$workdir/local.csv" || fail "local sweep failed"
 
-start_daemon w1 -worker
-start_daemon w2 -worker
+start_daemon w1
+start_daemon w2
 start_daemon coord -store "$workdir/store" \
   -peers "http://$w1_addr,http://$w2_addr" -peer-slots 2
 
-curl -fsS "http://$w1_addr/healthz" | grep -q '"worker":true' || fail "w1 is not in worker mode"
+curl -fsS "http://$w1_addr/healthz" | grep -q '"ok":true' || fail "w1 is not healthy"
 workers=$(curl -fsS "http://$coord_addr/v1/workers" | grep -o '"name"' | wc -l)
 [ "$workers" -eq 2 ] || fail "coordinator registered $workers workers, want 2"
 
