@@ -1,121 +1,199 @@
-// Command perf runs the repository's pinned benchmark suite and manages the
-// performance trajectory.
+// Command perf compares two `go test -bench` outputs, a base and a head, and
+// fails when the head is slower:
 //
-// Run the quick (PR-gating) suite and write the trajectory file:
+//	go run ./cmd/perf BASE.txt HEAD.txt
 //
-//	go run ./cmd/perf -quick -out bench.json
-//
-// Run the full suite (defaults to BENCH_<date>.json):
-//
-//	go run ./cmd/perf
-//
-// Compare two result files, failing (exit 1) on any ns/op regression beyond
-// the threshold:
-//
-//	go run ./cmd/perf -diff -threshold 0.15 perf/baseline.json bench.json
-//
-// CI runs the quick suite on every pull request and diffs against the
-// committed perf/baseline.json; refresh the baseline (and say why in the
-// commit) whenever a PR intentionally shifts performance.
+// Each input holds several runs of each benchmark (scripts/bench_ab.sh makes
+// five per side); names lose their -GOMAXPROCS suffix and only ns/op counts.
+// Per benchmark perf prints both medians, the change, and U: in how many
+// (base run, head run) pairs the base run was slower, ties counting half.
+// A benchmark regresses when its median slows by more than 15% and the runs
+// separate: a one-sided Mann–Whitney test finds a U that small with at most 5%
+// chance between two samples of one distribution (U <= 4 of 25 pairs at 5 runs
+// per side; nothing separates below 3 runs). A median-only rule flags A/A runs
+// of one binary on a shared host. "faster" is the mirror image. A benchmark on one
+// side only, or with a zero base median, is reported and never regresses.
+// perf exits 1 on a regression, on a failed benchmark (a "--- FAIL:" or
+// "FAIL" line in either input, named in the report) or on an unreadable input.
 package main
 
 import (
-	"flag"
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"os"
 	"regexp"
-	"time"
+	"slices"
+	"strconv"
+	"strings"
+)
 
-	"repro/internal/perf"
+const (
+	threshold = 0.15 // largest median slowdown that passes
+	alpha     = 0.05 // one-sided significance level of the separation test
+
+	// Statuses of a row.
+	steady     = "ok"
+	regression = "REGRESSION"
+	faster     = "faster"
+	onlyBase   = "only-base"
+	onlyHead   = "only-head"
+	noBaseline = "no-baseline" // a zero base median admits no ratio
 )
 
 func main() {
-	var (
-		quick     = flag.Bool("quick", false, "run the quick (PR-gating) probe subset")
-		out       = flag.String("out", "", "output file (default BENCH_<date>.json)")
-		benchRe   = flag.String("bench", "", "only run probes matching this regexp")
-		list      = flag.Bool("list", false, "list probe names and exit")
-		diff      = flag.Bool("diff", false, "compare two result files: -diff OLD NEW")
-		threshold = flag.Float64("threshold", 0.15, "relative ns/op regression gate for -diff")
-		quiet     = flag.Bool("q", false, "suppress per-probe progress output")
-	)
-	flag.Parse()
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: perf BASE.txt HEAD.txt")
+		os.Exit(2)
+	}
+	os.Exit(run(os.Stdout, os.Args[1], os.Args[2]))
+}
 
-	if *diff {
-		if flag.NArg() != 2 {
-			fatalf("usage: perf -diff [-threshold 0.15] OLD.json NEW.json")
+// run compares the outputs at two paths, reports to w and returns the exit code.
+func run(w io.Writer, basePath, headPath string) int {
+	var sides [2]runs
+	var bad []string
+	for i, path := range []string{basePath, headPath} {
+		data, err := os.ReadFile(path)
+		var failed []string
+		if err == nil {
+			sides[i], failed, err = parse(bytes.NewReader(data))
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *threshold))
-	}
-
-	suiteName := "full"
-	if *quick {
-		suiteName = "quick"
-	}
-	probes := perf.Suite(*quick)
-
-	if *list {
-		for _, p := range probes {
-			fmt.Println(p.Name)
-		}
-		return
-	}
-
-	var filter *regexp.Regexp
-	if *benchRe != "" {
-		re, err := regexp.Compile(*benchRe)
 		if err != nil {
-			fatalf("bad -bench regexp: %v", err)
+			fmt.Fprintf(w, "%s: %v\n", path, err)
+			return 1
 		}
-		filter = re
+		for _, name := range failed {
+			bad = append(bad, fmt.Sprintf("%s failed in %s", name, path))
+		}
 	}
-
-	rep := perf.NewReport(suiteName)
-	// The interface must be assigned nil directly: a nil *os.File boxed in
-	// io.Writer would defeat perf.Run's log != nil guard.
-	var log io.Writer = os.Stderr
-	if *quiet {
-		log = nil
+	rows := compare(sides[0], sides[1])
+	fmt.Fprintf(w, "%-50s %14s %14s %8s %7s  %s\n", "benchmark", "base ns/op", "head ns/op", "delta", "U/pairs", "status")
+	for _, r := range rows {
+		delta, pairs := "-", "-" // no ratio; a side without runs prints median 0
+		if r.status != onlyBase && r.status != onlyHead && r.status != noBaseline {
+			delta, pairs = fmt.Sprintf("%+.1f%%", (r.head/r.base-1)*100), fmt.Sprintf("%g/%d", r.u, r.pairs)
+		}
+		fmt.Fprintf(w, "%-50s %14.1f %14.1f %8s %7s  %s\n", r.name, r.base, r.head, delta, pairs, r.status)
+		if r.status == regression {
+			bad = append(bad, fmt.Sprintf("%s slowed by more than %.0f%% with separated runs", r.name, threshold*100))
+		}
 	}
-	if err := perf.Run(rep, probes, filter, log); err != nil {
-		fatalf("%v", err)
+	if len(bad) == 0 {
+		fmt.Fprintf(w, "OK: no benchmark slowed by more than %.0f%% with separated runs\n", threshold*100)
+		return 0
 	}
-	if len(rep.Results) == 0 {
-		fatalf("no probe matched -bench %q", *benchRe)
-	}
-
-	path := *out
-	if path == "" {
-		path = perf.DefaultFileName(time.Now())
-	}
-	if err := rep.WriteFile(path); err != nil {
-		fatalf("write %s: %v", path, err)
-	}
-	fmt.Printf("wrote %d results to %s (git %.12s)\n", len(rep.Results), path, rep.GitSHA)
+	fmt.Fprintln(w, "FAIL:", strings.Join(bad, "\nFAIL: "))
+	return 1
 }
 
-func runDiff(oldPath, newPath string, threshold float64) int {
-	old, err := perf.ReadReportFile(oldPath)
-	if err != nil {
-		fatalf("%v", err)
+// runs maps a benchmark name to the ns/op of each of its runs.
+type runs map[string][]float64
+
+// procsSuffix is the -GOMAXPROCS suffix go test appends to benchmark names.
+var procsSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// parse reads `go test -bench` output: the ns/op of every result line, and
+// (sorted, once each) the benchmarks "--- FAIL:" lines name. A FAIL line no
+// "--- FAIL:" line explains, such as a panic's, fails "(unnamed)".
+func parse(r io.Reader) (runs, []string, error) {
+	out := runs{}
+	var failed []string
+	sawFail := false
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		switch {
+		case len(f) >= 3 && f[0] == "---" && f[1] == "FAIL:":
+			failed = append(failed, f[2])
+		case len(f) > 0 && f[0] == "FAIL":
+			sawFail = true
+		case len(f) >= 4 && strings.HasPrefix(f[0], "Benchmark"):
+			if _, err := strconv.Atoi(f[1]); err != nil {
+				continue // benchmark log output, not a result
+			}
+			for i := 2; i+1 < len(f); i += 2 {
+				if f[i+1] != "ns/op" {
+					continue
+				}
+				v, err := strconv.ParseFloat(f[i], 64)
+				if err != nil {
+					return nil, nil, fmt.Errorf("bad ns/op in %q", sc.Text())
+				}
+				name := procsSuffix.ReplaceAllString(f[0], "")
+				out[name] = append(out[name], v)
+			}
+		}
 	}
-	cur, err := perf.ReadReportFile(newPath)
-	if err != nil {
-		fatalf("%v", err)
+	if sawFail && len(failed) == 0 {
+		failed = append(failed, "(unnamed)")
 	}
-	entries := perf.Diff(old, cur, threshold)
-	perf.WriteDiff(os.Stdout, entries)
-	if regs := perf.Regressions(entries); len(regs) > 0 {
-		fmt.Printf("\nFAIL: %d probe(s) regressed more than %.0f%% vs %s\n",
-			len(regs), threshold*100, oldPath)
-		return 1
-	}
-	fmt.Printf("\nOK: no probe regressed more than %.0f%% vs %s\n", threshold*100, oldPath)
-	return 0
+	slices.Sort(failed)
+	return out, slices.Compact(failed), sc.Err()
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+// row is one benchmark's comparison.
+type row struct {
+	name       string
+	base, head float64 // median ns/op, 0 for a side without runs
+	u          float64 // (base, head) run pairs with the base run slower, ties counting half
+	pairs      int
+	status     string
+}
+
+// compare classifies every benchmark of either side, sorted by name.
+func compare(base, head runs) []row {
+	var rows []row
+	names := slices.Concat(slices.Collect(maps.Keys(base)), slices.Collect(maps.Keys(head)))
+	slices.Sort(names)
+	for _, name := range slices.Compact(names) {
+		b, h := base[name], head[name]
+		r := row{name: name, base: median(b), head: median(h), pairs: len(b) * len(h), status: steady}
+		for _, x := range b {
+			for _, y := range h {
+				if x > y {
+					r.u++
+				} else if x == y {
+					r.u += 0.5
+				}
+			}
+		}
+		switch {
+		case len(h) == 0:
+			r.status = onlyBase
+		case len(b) == 0:
+			r.status = onlyHead
+		case r.base <= 0:
+			r.status = noBaseline
+		case r.head > r.base*(1+threshold) && pValue(len(b), len(h), r.u) <= alpha:
+			r.status = regression
+		case r.head < r.base*(1-threshold) && pValue(len(b), len(h), float64(r.pairs)-r.u) <= alpha:
+			r.status = faster
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// median returns the median of xs, 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Sorted(slices.Values(xs))
+	return (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+}
+
+// pValue is the one-sided Mann–Whitney p-value in the normal approximation
+// with continuity correction: the probability that, of n base and m head
+// runs drawn from one distribution, the base run is the slower one in at most
+// u of the n*m pairs. At 5 runs per side it separates U = 4 (exact p 12/252)
+// from U = 5 (19/252) as the exact test does.
+func pValue(n, m int, u float64) float64 {
+	nm := float64(n * m)
+	z := (u + 0.5 - nm/2) / math.Sqrt(nm*float64(n+m+1)/12)
+	return math.Erfc(-z/math.Sqrt2) / 2
 }
