@@ -1,8 +1,15 @@
-// Command sweep runs arbitrary simulation grids through the parallel sweep
-// engine (internal/runner): the cartesian product of the requested
-// benchmarks, runtime systems, schedulers, core counts and granularities is
-// expanded into content-addressed jobs, executed concurrently over a worker
-// pool, and reported as a table, CSV or JSON.
+// Command sweep runs arbitrary simulation grids: the cartesian product of
+// the requested benchmarks, runtime systems, schedulers, core counts and
+// granularities is expanded into content-addressed jobs, executed
+// concurrently, and reported as a table, CSV or JSON.
+//
+// Every grid and search sweep runs through the sweep service
+// (internal/service), in process on an engine of its own or, with -remote,
+// on a sweepd daemon (optionally a coordinator sharding it across a worker
+// fleet). Both take the same path from submission to rows, so a remote
+// sweep renders byte-identically to an in-process one:
+//
+//	sweep -remote http://sweepd-host:8080 -benchmarks cholesky -runtimes software,tdm
 //
 // With -store DIR every result is persisted as a JSON file keyed by its
 // content address, so an interrupted sweep resumes warm:
@@ -14,7 +21,9 @@
 // specs (-workload synth:<family>:<params>, see internal/workloads/synth);
 // "synth:all" expands to every family at default parameters. Any workload of
 // a sweep can be recorded to a versioned JSON program file (-dump-program)
-// and replayed byte-identically in a later sweep (-replay-program).
+// and replayed byte-identically in a later sweep (-replay-program). A
+// recorded program cannot be submitted to the service, so replay is the one
+// path outside it: its jobs run through the engine's RunAllContext.
 //
 // Examples:
 //
@@ -25,12 +34,6 @@
 //	sweep -workload synth:layered:seed=7,width=12,depth=20,density=0.4 -runtimes tdm
 //	sweep -workload synth:all -dump-program programs/
 //	sweep -replay-program programs/synth_layered.json -runtimes software,tdm
-//
-// With -remote the grid is submitted to a sweepd daemon (optionally a
-// coordinator sharding it across a worker fleet) instead of simulating
-// in-process; the streamed results render byte-identically to a local run:
-//
-//	sweep -remote http://sweepd-host:8080 -benchmarks cholesky -runtimes software,tdm
 package main
 
 import (
@@ -52,7 +55,6 @@ import (
 	"repro/internal/remote"
 	"repro/internal/runner"
 	"repro/internal/sched"
-	"repro/internal/search"
 	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/task"
@@ -60,7 +62,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// point is the flattened per-job record emitted by the CLI.
+// point is the per-job record of the JSON format.
 type point struct {
 	Key         string  `json:"key"`
 	Benchmark   string  `json:"benchmark"`
@@ -227,22 +229,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return dumpPrograms(stdout, *dumpProgram, jobs, engine.Base)
 	}
 
-	var searchReq *service.SearchRequest
-	if *searchMode != "" {
-		searchReq = &service.SearchRequest{
-			Strategy:  *searchMode,
-			Objective: *objective,
-			Budget:    *budget,
-			Rungs:     *searchRungs,
-			Seed:      *searchSeed,
-			Top:       *searchTop,
-		}
-	}
-
-	if *remoteURL != "" {
-		return runRemote(ctx, stdout, stderr, *remoteURL, *tenant, grid, searchReq, len(jobs), *format, *out, *verbose)
-	}
-
 	if *store != "" {
 		st, err := runner.NewDiskStore(*store)
 		if err != nil {
@@ -250,41 +236,88 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 		engine.Store = st
 	}
-
-	if searchReq != nil {
-		return runSearchLocal(ctx, stdout, stderr, engine, grid, searchReq, *format, *out, *verbose)
+	var rows []service.Point
+	if len(replayFiles) > 0 {
+		results, err := engine.RunAllContext(ctx, jobs)
+		if err != nil {
+			return err
+		}
+		for i, j := range jobs {
+			rows = append(rows, service.PointOf(i, j, engine.Key(j), engine.Base, results[i], nil))
+		}
+	} else {
+		req := service.SubmitRequest{
+			Benchmarks:    grid.Benchmarks,
+			Schedulers:    grid.Schedulers,
+			Cores:         grid.Cores,
+			Granularities: grid.Granularities,
+			Tenant:        *tenant,
+		}
+		for _, k := range grid.Runtimes {
+			req.Runtimes = append(req.Runtimes, string(k))
+		}
+		if *searchMode != "" {
+			req.Search = &service.SearchRequest{
+				Strategy:  *searchMode,
+				Objective: *objective,
+				Budget:    *budget,
+				Rungs:     *searchRungs,
+				Seed:      *searchSeed,
+				Top:       *searchTop,
+			}
+		}
+		var sweeper interface {
+			Sweep(context.Context, service.SubmitRequest) ([]service.Point, error)
+		}
+		if *remoteURL != "" {
+			if *verbose && *searchMode != "" {
+				fmt.Fprintf(stderr, "submitting search over %d grid points to %s\n", len(jobs), *remoteURL)
+			} else if *verbose {
+				fmt.Fprintf(stderr, "submitting %d points to %s\n", len(jobs), *remoteURL)
+			}
+			sweeper = &remote.Client{URL: *remoteURL}
+		} else {
+			srv := service.New(engine, 0)
+			// The daemon's ingress limit does not bind a grid the command
+			// line runs on its own engine.
+			srv.MaxPoints = len(jobs)
+			defer srv.Drain(nil)
+			sweeper = srv
+		}
+		if rows, err = sweeper.Sweep(ctx, req); err != nil {
+			return err
+		}
+		if err := context.Cause(ctx); err != nil {
+			return err
+		}
 	}
 
-	results, err := engine.RunAllContext(ctx, jobs)
-	if err != nil {
+	// Split result rows from the interleaved leaderboard rows; the last
+	// leaderboard row is the search's final ranking.
+	var board *service.Point
+	var points []service.Point
+	for _, p := range rows {
+		if p.Row == service.RowLeaderboard {
+			board = &p
+		} else {
+			points = append(points, p)
+		}
+	}
+	// Rows arrive in completion order; the report is in grid order.
+	sort.Slice(points, func(i, j int) bool { return points[i].Index < points[j].Index })
+	var errs []error
+	for _, p := range points {
+		switch {
+		case p.Cancelled:
+			errs = append(errs, fmt.Errorf("%s/%s: cancelled on the daemon: %s", p.Benchmark, p.Runtime, p.Error))
+		case p.Error != "" && *searchMode == "":
+			// A search ranks around failed points instead of aborting.
+			errs = append(errs, errors.New(p.Error))
+		}
+	}
+	if err := errors.Join(errs...); err != nil {
 		return err
 	}
-	points := make([]point, len(jobs))
-	for i, j := range jobs {
-		res := results[i]
-		cfg := j.Config(engine.Base)
-		scheduler := cfg.Scheduler
-		if !j.Runtime.UsesSoftwareScheduler() {
-			// Carbon and Task Superscalar schedule in hardware; reporting
-			// a software policy here would be misleading.
-			scheduler = "-"
-		}
-		points[i] = point{
-			Key:         engine.Key(j),
-			Benchmark:   j.Benchmark,
-			Runtime:     string(j.Runtime),
-			Scheduler:   scheduler,
-			Cores:       cfg.Machine.Cores,
-			Granularity: j.Granularity,
-			Tasks:       res.TasksExecuted,
-			Cycles:      res.Cycles,
-			Seconds:     res.Seconds,
-			EnergyJ:     res.Energy.EnergyJoules,
-			AvgPowerW:   res.Energy.AveragePowerW,
-			EDP:         res.Energy.EDP,
-		}
-	}
-
 	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -294,201 +327,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		defer f.Close()
 		w = f
 	}
-	return emit(w, *format, points)
-}
-
-// runRemote submits the grid to a sweepd daemon and renders the streamed
-// points exactly as a local run would: same fields, same job order, so a
-// remote sweep's table is byte-identical to an in-process one. With a search
-// stanza the daemon evaluates only the searcher's batches, the stream
-// interleaves leaderboard rows, and the final leaderboard is rendered
-// instead of the full point table.
-func runRemote(ctx context.Context, stdout, stderr io.Writer, url, tenant string, grid runner.Grid,
-	search *service.SearchRequest, wantPoints int, format, out string, verbose bool) error {
-	if verbose {
-		if search != nil {
-			fmt.Fprintf(stderr, "submitting search over %d grid points to %s\n", wantPoints, url)
-		} else {
-			fmt.Fprintf(stderr, "submitting %d points to %s\n", wantPoints, url)
-		}
-	}
-	req := service.SubmitRequest{
-		Benchmarks:    grid.Benchmarks,
-		Schedulers:    grid.Schedulers,
-		Cores:         grid.Cores,
-		Granularities: grid.Granularities,
-		Tenant:        tenant,
-		Search:        search,
-	}
-	for _, k := range grid.Runtimes {
-		req.Runtimes = append(req.Runtimes, string(k))
-	}
-	cl := &remote.Client{URL: url}
-	streamed, err := cl.Sweep(ctx, req)
-	if err != nil {
-		return err
-	}
-	if err := context.Cause(ctx); err != nil {
-		return err
-	}
-	// Split result rows from the interleaved leaderboard rows; the last
-	// leaderboard row is the search's final ranking.
-	var board *service.Point
-	results := streamed[:0]
-	for i, p := range streamed {
-		if p.Row == service.RowLeaderboard {
-			board = &streamed[i]
-			continue
-		}
-		results = append(results, p)
-	}
-	streamed = results
-	// The stream arrives in completion order; the report is in grid order.
-	sort.Slice(streamed, func(i, j int) bool { return streamed[i].Index < streamed[j].Index })
-	var errs []error
-	points := make([]point, 0, len(streamed))
-	for _, p := range streamed {
-		switch {
-		case p.Cancelled:
-			errs = append(errs, fmt.Errorf("%s/%s: cancelled on the daemon: %s", p.Benchmark, p.Runtime, p.Error))
-		case p.Error != "" && search == nil:
-			// A search ranks around failed points instead of aborting.
-			errs = append(errs, errors.New(p.Error))
-		}
-		points = append(points, point{
-			Key:         p.Key,
-			Benchmark:   p.Benchmark,
-			Runtime:     p.Runtime,
-			Scheduler:   p.Scheduler,
-			Cores:       p.Cores,
-			Granularity: p.Granularity,
-			Tasks:       p.Tasks,
-			Cycles:      p.Cycles,
-			Seconds:     p.Seconds,
-			EnergyJ:     p.EnergyJ,
-			AvgPowerW:   p.AvgPowerW,
-			EDP:         p.EDP,
-		})
-	}
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	w := stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if search != nil {
+	if *searchMode != "" {
 		if board == nil {
-			return fmt.Errorf("remote search delivered no leaderboard")
+			return fmt.Errorf("search delivered no leaderboard")
 		}
 		fmt.Fprintf(stderr, "search evaluated %d of %d grid points (%d saved)\n",
-			board.Evaluated, wantPoints, wantPoints-board.Evaluated)
-		return emitLeaderboard(w, format, search.Objective, board.Best)
+			board.Evaluated, len(jobs), len(jobs)-board.Evaluated)
+		return emitLeaderboard(w, *format, *objective, board.Best)
 	}
-	if len(points) != wantPoints {
-		return fmt.Errorf("remote sweep delivered %d of %d points", len(points), wantPoints)
+	if len(points) != len(jobs) {
+		return fmt.Errorf("sweep delivered %d of %d points", len(points), len(jobs))
 	}
-	return emit(w, format, points)
-}
-
-// runSearchLocal drives the successive-halving searcher over the in-process
-// engine: each rung's batch executes through RunAllContext (deduplicated,
-// store-memoized, worker pool), the observed objectives feed the next rung,
-// and the final leaderboard is rendered.
-func runSearchLocal(ctx context.Context, stdout, stderr io.Writer, engine *runner.Engine,
-	grid runner.Grid, req *service.SearchRequest, format, out string, verbose bool) error {
-	obj, err := search.ParseObjective(req.Objective)
-	if err != nil {
-		return err
-	}
-	space, err := search.NewSpace(grid)
-	if err != nil {
-		return err
-	}
-	searcher, err := search.New(space, search.Config{
-		Strategy:  req.Strategy,
-		Objective: obj,
-		Budget:    req.Budget,
-		Rungs:     req.Rungs,
-		Seed:      req.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	for {
-		batch := searcher.Next()
-		if batch == nil {
-			break
-		}
-		jobs := make([]runner.Job, len(batch))
-		for i, idx := range batch {
-			jobs[i] = space.Job(idx)
-		}
-		results, err := engine.RunAllContext(ctx, jobs)
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
-		if err != nil && verbose {
-			fmt.Fprintf(stderr, "search rung %d: some points failed: %v\n", searcher.Rung(), err)
-		}
-		for i, idx := range batch {
-			res := results[i]
-			var value float64
-			failed := res == nil
-			if !failed {
-				if value, err = obj.Value(res); err != nil {
-					failed = true
-				}
-			}
-			var cycles int64
-			if res != nil {
-				cycles = res.Cycles
-			}
-			searcher.Observe(idx, value, cycles, failed)
-		}
-		if verbose {
-			fmt.Fprintf(stderr, "search rung %d: %d/%d points evaluated\n",
-				searcher.Rung(), searcher.Evaluated(), searcher.Config().Budget)
-		}
-	}
-	fmt.Fprintf(stderr, "search evaluated %d of %d grid points (%d saved)\n",
-		searcher.Evaluated(), space.Len(), space.Len()-searcher.Evaluated())
-	top := req.Top
-	if top <= 0 {
-		top = 10
-	}
-	entries := make([]service.LeaderboardEntry, 0, top)
-	for _, e := range searcher.Leaderboard(top) {
-		cfg := e.Job.Config(engine.Base)
-		scheduler := cfg.Scheduler
-		if !e.Job.Runtime.UsesSoftwareScheduler() {
-			scheduler = "-"
-		}
-		entries = append(entries, service.LeaderboardEntry{
-			Index:       e.Index,
-			Benchmark:   e.Job.Benchmark,
-			Runtime:     string(e.Job.Runtime),
-			Scheduler:   scheduler,
-			Cores:       cfg.Machine.Cores,
-			Granularity: e.Job.Granularity,
-			Value:       e.Value,
-		})
-	}
-	w := stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return emitLeaderboard(w, format, obj.String(), entries)
+	return emit(w, *format, points)
 }
 
 // emitLeaderboard renders a search's final ranking in the requested format.
@@ -666,12 +516,29 @@ func splitList(s string) []string {
 }
 
 // emit writes the sweep results in the requested format.
-func emit(w io.Writer, format string, points []point) error {
+func emit(w io.Writer, format string, points []service.Point) error {
 	switch format {
 	case "json":
+		rows := make([]point, len(points))
+		for i, p := range points {
+			rows[i] = point{
+				Key:         p.Key,
+				Benchmark:   p.Benchmark,
+				Runtime:     p.Runtime,
+				Scheduler:   p.Scheduler,
+				Cores:       p.Cores,
+				Granularity: p.Granularity,
+				Tasks:       p.Tasks,
+				Cycles:      p.Cycles,
+				Seconds:     p.Seconds,
+				EnergyJ:     p.EnergyJ,
+				AvgPowerW:   p.AvgPowerW,
+				EDP:         p.EDP,
+			}
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(points)
+		return enc.Encode(rows)
 	case "table", "csv":
 		t := stats.NewTable("Sweep results",
 			"benchmark", "runtime", "scheduler", "cores", "granularity",

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"net/http/httptest"
@@ -90,47 +91,129 @@ func TestHelpIsNotAnError(t *testing.T) {
 	}
 }
 
-// TestRemoteSweepMatchesLocal: the same grid run in-process and via
-// -remote against a daemon — including a daemon coordinating a worker
-// fleet — produces byte-identical output in every format.
-func TestRemoteSweepMatchesLocal(t *testing.T) {
-	args := []string{"-benchmarks", "histogram", "-runtimes", "software,tdm", "-format", "csv"}
-
-	var local bytes.Buffer
-	var stderr bytes.Buffer
-	if err := run(context.Background(), args, &local, &stderr); err != nil {
-		t.Fatal(err)
+// daemon serves a sweep service on the CLI's base configuration over HTTP.
+// With fleet, the service coordinates two in-process workers.
+func daemon(t *testing.T, fleet bool) string {
+	t.Helper()
+	base := core.DefaultConfig(taskrt.Software)
+	srv := service.New(&runner.Engine{Base: base, Store: runner.NewStore()}, 2)
+	if fleet {
+		srv.RegisterWorker("local-a", &runner.Engine{Base: base}, 1)
+		srv.RegisterWorker("local-b", &runner.Engine{Base: base}, 1)
 	}
-
-	// A single-node daemon: same base configuration as the CLI.
-	engine := &runner.Engine{Base: core.DefaultConfig(taskrt.Software), Store: runner.NewStore()}
-	srv := service.New(engine, 2)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { srv.Drain(nil) })
+	return ts.URL
+}
 
-	var remote bytes.Buffer
-	if err := run(context.Background(), append([]string{"-remote", ts.URL}, args...), &remote, &stderr); err != nil {
+// sweepOutput runs the CLI and returns its stdout and stderr.
+func sweepOutput(t *testing.T, args ...string) (string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("sweep %v: %v", args, err)
+	}
+	return stdout.String(), stderr.String()
+}
+
+// TestRemoteSweepMatchesLocal: the same grid run in-process and via -remote
+// against a daemon, including a daemon coordinating a worker fleet, renders
+// byte-identically in every format, and exactly as the rows of an
+// engine.RunAll over the grid's jobs render.
+func TestRemoteSweepMatchesLocal(t *testing.T) {
+	args := []string{"-benchmarks", "histogram", "-runtimes", "software,tdm,carbon", "-schedulers", "fifo,lifo"}
+	grid := runner.Grid{
+		Benchmarks: []string{"histogram"},
+		Runtimes:   []taskrt.Kind{taskrt.Software, taskrt.TDM, taskrt.Carbon},
+		Schedulers: []string{"fifo", "lifo"},
+	}
+	jobs := grid.Jobs()
+	eng := &runner.Engine{Base: core.DefaultConfig(taskrt.Software)}
+	results, err := eng.RunAll(jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(local.Bytes(), remote.Bytes()) {
-		t.Errorf("remote sweep differs from local run:\nlocal:\n%s\nremote:\n%s", local.String(), remote.String())
+	ref := make([]service.Point, len(jobs))
+	for i, j := range jobs {
+		scheduler := j.Scheduler
+		if j.Runtime == taskrt.Carbon {
+			scheduler = "-"
+		}
+		res := results[i]
+		ref[i] = service.Point{
+			Key: eng.Key(j), Benchmark: j.Benchmark, Runtime: string(j.Runtime), Scheduler: scheduler,
+			Cores: eng.Base.Machine.Cores, Tasks: res.TasksExecuted, Cycles: res.Cycles, Seconds: res.Seconds,
+			EnergyJ: res.Energy.EnergyJoules, AvgPowerW: res.Energy.AveragePowerW, EDP: res.Energy.EDP,
+		}
 	}
-
-	// A coordinator sharding across two (in-process) workers must render
-	// the same bytes again.
-	fleetEngine := &runner.Engine{Base: core.DefaultConfig(taskrt.Software), Store: runner.NewStore()}
-	fleet := service.New(fleetEngine, 2)
-	fleet.RegisterWorker("local-a", &runner.Engine{Base: fleetEngine.Base}, 1)
-	fleet.RegisterWorker("local-b", &runner.Engine{Base: fleetEngine.Base}, 1)
-	fts := httptest.NewServer(fleet.Handler())
-	defer fts.Close()
-
-	var sharded bytes.Buffer
-	if err := run(context.Background(), append([]string{"-remote", fts.URL}, args...), &sharded, &stderr); err != nil {
-		t.Fatal(err)
+	single, fleet := daemon(t, false), daemon(t, true)
+	for _, format := range []string{"table", "csv", "json"} {
+		var want bytes.Buffer
+		if err := emit(&want, format, ref); err != nil {
+			t.Fatal(err)
+		}
+		args := append([]string{"-format", format}, args...)
+		local, _ := sweepOutput(t, args...)
+		remote, _ := sweepOutput(t, append([]string{"-remote", single}, args...)...)
+		sharded, _ := sweepOutput(t, append([]string{"-remote", fleet}, args...)...)
+		if local != want.String() {
+			t.Errorf("%s: local sweep differs from the RunAll rows:\nlocal:\n%s\nRunAll:\n%s", format, local, want.String())
+		}
+		if remote != local {
+			t.Errorf("%s: remote sweep differs from local run:\nlocal:\n%s\nremote:\n%s", format, local, remote)
+		}
+		if sharded != local {
+			t.Errorf("%s: sharded sweep differs from local run:\nlocal:\n%s\nsharded:\n%s", format, local, sharded)
+		}
 	}
-	if !bytes.Equal(local.Bytes(), sharded.Bytes()) {
-		t.Errorf("sharded sweep differs from local run:\nlocal:\n%s\nsharded:\n%s", local.String(), sharded.String())
+}
+
+// TestRemoteSearchMatchesLocal: a search run in-process and via -remote
+// prints the same leaderboard and summary in every format, with the
+// objective spelled as the user gave it, and every leaderboard value is the
+// cycles engine.RunAll simulates for that grid point.
+func TestRemoteSearchMatchesLocal(t *testing.T) {
+	args := []string{"-search", "halving", "-objective", "cycles", "-search-seed", "3",
+		"-benchmarks", "histogram", "-runtimes", "software,tdm", "-schedulers", "fifo,lifo", "-cores", "4,8,16"}
+	url := daemon(t, false)
+	for _, format := range []string{"table", "csv", "json"} {
+		args := append([]string{"-format", format}, args...)
+		local, localErr := sweepOutput(t, args...)
+		remote, remoteErr := sweepOutput(t, append([]string{"-remote", url}, args...)...)
+		if local != remote || localErr != remoteErr {
+			t.Errorf("%s: remote search differs from local run:\nlocal:\n%s%s\nremote:\n%s%s",
+				format, localErr, local, remoteErr, remote)
+		}
+		if format == "table" && !strings.Contains(local, "Search leaderboard (cycles)") {
+			t.Errorf("leaderboard title does not carry the objective as given:\n%s", local)
+		}
+		if format != "json" {
+			continue
+		}
+		var board []service.LeaderboardEntry
+		if err := json.Unmarshal([]byte(local), &board); err != nil {
+			t.Fatal(err)
+		}
+		if len(board) == 0 {
+			t.Fatal("search ranked no configurations")
+		}
+		grid := runner.Grid{
+			Benchmarks: []string{"histogram"},
+			Runtimes:   []taskrt.Kind{taskrt.Software, taskrt.TDM},
+			Schedulers: []string{"fifo", "lifo"},
+			Cores:      []int{4, 8, 16},
+		}
+		jobs := grid.Jobs()
+		results, err := (&runner.Engine{Base: core.DefaultConfig(taskrt.Software)}).RunAll(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range board {
+			if want := float64(results[e.Index].Cycles); e.Value != want {
+				t.Errorf("leaderboard %+v: value %g, RunAll simulated %g cycles", e, e.Value, want)
+			}
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // Client submits whole sweeps to a sweepd daemon (coordinator or
 // single-node) instead of simulating in-process — the transport behind
-// `sweep -remote <url>`.
+// `sweep -remote <url>`. Its Sweep is the twin of service.Server.Sweep.
 type Client struct {
 	// URL is the daemon's base URL.
 	URL string

@@ -74,7 +74,7 @@ func (e *Executor) Execute(ctx context.Context, j runner.Job) (*core.Result, err
 	res, err := e.execute(ctx, j)
 	e.Metrics.DispatchSeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
-		e.Metrics.Errors.With(e.URL, dispatchClass(err)).Inc()
+		e.Metrics.Errors.With(e.URL, runner.ErrorClass(err)).Inc()
 	}
 	return res, err
 }

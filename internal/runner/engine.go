@@ -81,20 +81,16 @@ func (e *Engine) RunContext(ctx context.Context, j Job) (*core.Result, error) {
 	if e.Store == nil {
 		return e.Execute(ctx, j)
 	}
-	return e.runKeyed(ctx, j, e.Key(j), nil)
+	return e.runKeyed(ctx, j, e.Key(j))
 }
 
 // Execute simulates a job in-process against Base, bypassing the store. It
 // first waits for one of the engine's Workers execution slots (returning
 // the context's cause if ctx ends first), then logs one progress line and
-// records execution latency and failure class.
+// records execution latency and failure class. Under a context from
+// WithPrograms, the job's program comes from the context's memo once the
+// job holds its slot.
 func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
-	return e.execute(ctx, j, nil)
-}
-
-// execute is Execute taking the job's program from progs, once it holds a
-// slot, when progs is non-nil.
-func (e *Engine) execute(ctx context.Context, j Job, progs *programMemo) (*core.Result, error) {
 	e.slotsOnce.Do(func() { e.slots = make(chan struct{}, e.workers()) })
 	select {
 	case e.slots <- struct{}{}:
@@ -108,33 +104,47 @@ func (e *Engine) execute(ctx context.Context, j Job, progs *programMemo) (*core.
 		start = time.Now()
 		e.Metrics.Execs.Inc()
 	}
-	if progs != nil {
-		j = progs.fill(j, e.Base)
+	if m, ok := ctx.Value(programsKey{}).(*programMemo); ok {
+		j = m.fill(j, e.Base)
 	}
 	res, err := j.RunContext(ctx, e.Base)
 	if e.Metrics != nil {
 		e.Metrics.ExecSeconds.Observe(time.Since(start).Seconds())
 		if err != nil {
-			e.Metrics.ExecErrors.With(errorClass(err)).Inc()
+			e.Metrics.ExecErrors.With(ErrorClass(err)).Inc()
 		}
 	}
 	return res, err
 }
 
-// runKeyed executes a job through the store under an already-derived key,
-// taking its program from progs when non-nil.
-func (e *Engine) runKeyed(ctx context.Context, j Job, key string, progs *programMemo) (*core.Result, error) {
+// runKeyed executes a job through the store under an already-derived key.
+func (e *Engine) runKeyed(ctx context.Context, j Job, key string) (*core.Result, error) {
 	res, _, err := e.Store.Do(ctx, key, func(ctx context.Context) (*core.Result, error) {
-		return e.execute(ctx, j, progs)
+		return e.Execute(ctx, j)
 	})
 	return res, err
 }
 
-// programMemo shares generated benchmark programs among the points of one
-// RunAll call: each distinct program (benchmark, resolved granularity,
-// machine) is generated once, by the first point that needs it, while any
-// other point needing it waits. Programs are immutable once run, so the
-// points' simulations share them.
+// programsKey carries a program memo in a context (see WithPrograms).
+type programsKey struct{}
+
+// WithPrograms returns a context under which Execute shares generated
+// benchmark programs: each distinct program (benchmark, resolved
+// granularity, machine) is generated once, by the first point that needs
+// it, while any other point needing it waits. Programs are immutable once
+// run, so the points' simulations share them, and the memo dies with the
+// context, so no result keeps a program alive. RunAllContext scopes a memo
+// to its call and a service sweep to the sweep. A context that already
+// carries a memo is returned unchanged, so nested scopes share the
+// outermost one.
+func WithPrograms(ctx context.Context) context.Context {
+	if _, ok := ctx.Value(programsKey{}).(*programMemo); ok {
+		return ctx
+	}
+	return context.WithValue(ctx, programsKey{}, &programMemo{progs: make(map[programKey]*memoProgram)})
+}
+
+// programMemo is the program table of one WithPrograms scope.
 type programMemo struct {
 	mu    sync.Mutex
 	progs map[programKey]*memoProgram
@@ -178,11 +188,10 @@ func (m *programMemo) fill(j Job, base core.Config) Job {
 // RunAll executes a job set concurrently and returns the results in job
 // order (deterministic assembly regardless of worker count or completion
 // order). Jobs with equal keys are deduplicated: each distinct point is
-// simulated once and its result shared across all aliases. Each distinct
-// benchmark program is generated once per call and shared by every point
-// that simulates it; the memo dies with the call, so the next call generates
-// afresh and no result keeps a program alive. Errors from distinct points
-// are joined in job order.
+// simulated once and its result shared across all aliases. The call is one
+// WithPrograms scope, so each distinct benchmark program is generated once
+// per call and shared by every point that simulates it. Errors from
+// distinct points are joined in job order.
 func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 	return e.RunAllContext(context.Background(), jobs)
 }
@@ -192,12 +201,7 @@ func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 // skipped (their result slot stays nil), and the cancellation cause is
 // returned instead of the per-point error join.
 func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result, error) {
-	return e.runAll(ctx, jobs, &programMemo{progs: make(map[programKey]*memoProgram)})
-}
-
-// runAll is RunAllContext sharing the programs of executed points through
-// progs.
-func (e *Engine) runAll(ctx context.Context, jobs []Job, progs *programMemo) ([]*core.Result, error) {
+	ctx = WithPrograms(ctx)
 	// Deduplicate while preserving first-occurrence order.
 	type slot struct {
 		res *core.Result
@@ -238,9 +242,9 @@ func (e *Engine) runAll(ctx context.Context, jobs []Job, progs *programMemo) ([]
 				var res *core.Result
 				var err error
 				if e.Store == nil {
-					res, err = e.execute(ctx, unique[i], progs)
+					res, err = e.Execute(ctx, unique[i])
 				} else {
-					res, err = e.runKeyed(ctx, unique[i], keys[i], progs)
+					res, err = e.runKeyed(ctx, unique[i], keys[i])
 				}
 				slots[i] = slot{res, err}
 			}

@@ -104,6 +104,25 @@ func TestTransientErrorClassification(t *testing.T) {
 	}
 }
 
+// TestErrorClass pins the one classifier behind the engine's and the
+// remote executors' error counters.
+func TestErrorClass(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want string
+	}{
+		{context.Canceled, "cancelled"},
+		{context.DeadlineExceeded, "cancelled"},
+		{fmt.Errorf("histogram/tdm/fifo: %w", taskrt.ErrCancelled), "cancelled"},
+		{Transient(errors.New("connection refused")), "transient"},
+		{errors.New("unknown benchmark"), "permanent"},
+	} {
+		if got := ErrorClass(tc.err); got != tc.want {
+			t.Errorf("ErrorClass(%v) = %q, want %q", tc.err, got, tc.want)
+		}
+	}
+}
+
 // TestStoreHostileKeys: keys containing path separators or CreateTemp's
 // '*' placeholder must persist and load like any other key, without
 // escaping the store directory or breaking the temp-file pattern.

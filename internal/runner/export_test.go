@@ -9,11 +9,24 @@ import (
 // RunAllCountingPrograms is RunAll that also returns how many distinct
 // programs the call generated, by the core count of their machine.
 func (e *Engine) RunAllCountingPrograms(jobs []Job) ([]*core.Result, map[int]int, error) {
-	progs := &programMemo{progs: make(map[programKey]*memoProgram)}
-	res, err := e.runAll(context.Background(), jobs, progs)
+	ctx := WithPrograms(context.Background())
+	res, err := e.RunAllContext(ctx, jobs)
+	return res, ProgramsByCores(ctx), err
+}
+
+// ProgramsByCores counts the programs generated under a WithPrograms
+// context, by the core count of their machine. A context without a memo
+// generated none.
+func ProgramsByCores(ctx context.Context) map[int]int {
 	byCores := make(map[int]int)
-	for k := range progs.progs {
+	m, ok := ctx.Value(programsKey{}).(*programMemo)
+	if !ok {
+		return byCores
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k := range m.progs {
 		byCores[k.machine.Cores]++
 	}
-	return res, byCores, err
+	return byCores
 }

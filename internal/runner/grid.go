@@ -160,29 +160,12 @@ func (g Grid) Coords() [][NumDims]int {
 // forEach enumerates the grid's expansion in deterministic order — the
 // single source of truth behind Jobs, Size and Coords.
 func (g Grid) forEach(fn func(Job, [NumDims]int)) {
-	benchmarks := g.expandBenchmarks()
-	runtimes := g.Runtimes
-	if len(runtimes) == 0 {
-		runtimes = taskrt.Kinds()
-	}
-	schedulers := g.Schedulers
-	if len(schedulers) == 0 {
-		schedulers = []string{sched.FIFO}
-	}
-	cores := g.Cores
-	if len(cores) == 0 {
-		cores = []int{0}
-	}
-	granularities := g.Granularities
-	if len(granularities) == 0 {
-		granularities = []int64{0}
-	}
-
-	for bi, b := range benchmarks {
-		for ri, rt := range runtimes {
-			scheds := schedulers
+	a := g.Axes()
+	for bi, b := range a.Benchmarks {
+		for ri, rt := range a.Runtimes {
+			scheds := a.Schedulers
 			if !rt.UsesSoftwareScheduler() {
-				scheds = schedulers[:1]
+				scheds = scheds[:1]
 			}
 			for si, s := range scheds {
 				if !rt.UsesSoftwareScheduler() {
@@ -191,8 +174,8 @@ func (g Grid) forEach(fn func(Job, [NumDims]int)) {
 					// scheduler list.
 					s = sched.FIFO
 				}
-				for ci, c := range cores {
-					for gi, gran := range granularities {
+				for ci, c := range a.Cores {
+					for gi, gran := range a.Granularities {
 						fn(Job{
 							Benchmark:   b,
 							Runtime:     rt,

@@ -78,8 +78,12 @@ func NewEngineMetrics(reg *obs.Registry) *EngineMetrics {
 	}
 }
 
-// errorClass buckets an execution error for the ExecErrors counter.
-func errorClass(err error) string {
+// ErrorClass buckets an execution error for the error counters of an
+// executor (EngineMetrics.ExecErrors, the remote dispatch errors):
+// "cancelled" when the caller's own cancellation stopped it, "transient"
+// when the execution channel failed and the point is worth retrying
+// elsewhere, and "permanent" when the point itself is broken.
+func ErrorClass(err error) string {
 	switch {
 	case isCancellation(err):
 		return "cancelled"

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +336,12 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 			defer ls.put(l)
 			s.dispatchPoint(ctx, sw, l, t, attemptCap, queue, settle)
 		}()
+		// Yield to the point just launched and to any other runnable
+		// goroutine. Without it, the loop and its point goroutines hand
+		// each processor straight to one another on every warm point, so
+		// the NDJSON writer woken by a settled point, and the network
+		// poller, wait until the sweep runs out of points.
+		runtime.Gosched()
 	}
 }
 
@@ -370,9 +377,11 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 			}
 			l.points.Add(1)
 		}
-		settle(pointOf(t.idx, j, key, s.engine.Base, res, nil, false), res)
+		settle(PointOf(t.idx, j, key, s.engine.Base, res, nil), res)
 	case isCancelled(ctx, err):
-		settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, true), nil)
+		p := PointOf(t.idx, j, key, s.engine.Base, nil, err)
+		p.Cancelled = true
+		settle(p, nil)
 	case runner.IsTransient(err):
 		if dispatched {
 			s.met.workerFailed.With(l.name).Inc()
@@ -385,7 +394,7 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 		}
 		if t.attempts+1 >= attemptCap {
 			err = fmt.Errorf("point failed %d dispatch attempts, last: %w", t.attempts+1, err)
-			settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, false), nil)
+			settle(PointOf(t.idx, j, key, s.engine.Base, nil, err), nil)
 			return
 		}
 		s.met.workerRequeued.With(l.name).Inc()
@@ -398,6 +407,6 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 		if dispatched {
 			s.met.workerFailed.With(l.name).Inc()
 		}
-		settle(pointOf(t.idx, j, key, s.engine.Base, nil, err, false), nil)
+		settle(PointOf(t.idx, j, key, s.engine.Base, nil, err), nil)
 	}
 }

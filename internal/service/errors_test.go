@@ -69,6 +69,12 @@ func TestV1ErrorEnvelope(t *testing.T) {
 			http.StatusNotFound, CodeNotFound},
 		{"tenant bad body", "PUT", "/v1/tenants/acme", `{"weight": "heavy"}`,
 			http.StatusBadRequest, CodeInvalidBody},
+		{"tenant bad name", "PUT", "/v1/tenants/no!bangs", `{"weight": 2}`,
+			http.StatusBadRequest, CodeInvalidTenant},
+		{"tenant bad weight", "PUT", "/v1/tenants/acme", `{"weight": -1}`,
+			http.StatusBadRequest, CodeInvalidTenant},
+		{"tenant bad quota", "PUT", "/v1/tenants/acme", `{"max_active_points": -5}`,
+			http.StatusBadRequest, CodeInvalidTenant},
 		{"worker without factory", "PUT", "/v1/workers", `{"url": "http://w:1", "slots": 2}`,
 			http.StatusNotImplemented, CodeNotImplemented},
 		{"worker bad body", "PUT", "/v1/workers", `{"url": 7}`,

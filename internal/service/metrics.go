@@ -153,8 +153,12 @@ func (s *Server) settlePoint(sw *sweep, p Point, res *core.Result) {
 		s.met.taskLatency.With("p90").Observe(float64(l.P90))
 		s.met.taskLatency.With("p99").Observe(float64(l.P99))
 	}
+	if len(res.Occupancy) == 0 {
+		return
+	}
+	tasks, deps := s.met.dmuOccupancy.With("tasks"), s.met.dmuOccupancy.With("deps")
 	for _, o := range res.Occupancy {
-		s.met.dmuOccupancy.With("tasks").Observe(float64(o.DMUTasks))
-		s.met.dmuOccupancy.With("deps").Observe(float64(o.DMUDeps))
+		tasks.Observe(float64(o.DMUTasks))
+		deps.Observe(float64(o.DMUDeps))
 	}
 }

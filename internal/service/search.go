@@ -117,21 +117,17 @@ func (r *searchRun) take(idx int) (searchObs, bool) {
 	return o, ok
 }
 
-// entryOf flattens a ranked search point into its leaderboard form, with the
-// same scheduler normalization as pointOf.
+// entryOf flattens a ranked search point into its leaderboard form, with
+// PointOf's coordinates.
 func entryOf(e search.Entry, base core.Config) LeaderboardEntry {
-	cfg := e.Job.Config(base)
-	scheduler := cfg.Scheduler
-	if !e.Job.Runtime.UsesSoftwareScheduler() {
-		scheduler = "-"
-	}
+	p := PointOf(e.Index, e.Job, "", base, nil, nil)
 	return LeaderboardEntry{
 		Index:       e.Index,
-		Benchmark:   e.Job.Benchmark,
-		Runtime:     string(e.Job.Runtime),
-		Scheduler:   scheduler,
-		Cores:       cfg.Machine.Cores,
-		Granularity: e.Job.Granularity,
+		Benchmark:   p.Benchmark,
+		Runtime:     p.Runtime,
+		Scheduler:   p.Scheduler,
+		Cores:       p.Cores,
+		Granularity: p.Granularity,
 		Value:       e.Value,
 	}
 }

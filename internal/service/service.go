@@ -26,6 +26,11 @@
 //	POST /execute              run one encoded job on this node's engine
 //	GET  /healthz              liveness and drain state
 //
+// Server.Sweep is POST /v1/sweeps?stream=1 without the HTTP: it validates
+// and runs a submission in process and returns its rows. cmd/sweep runs
+// its local sweeps through it, and internal/remote.Client.Sweep is its
+// twin over the wire.
+//
 // Every point of every sweep runs through one launch loop: it takes its
 // tenant grant, then the next free slot on any live worker. With workers
 // registered (PUT /workers, or sweepd's -peers flag) the service is a
@@ -389,6 +394,9 @@ func (s *Server) submit(jobs []runner.Job, tenant string, cfg TenantConfig, run 
 func (s *Server) runSweep(ctx context.Context, sw *sweep) {
 	defer s.wg.Done()
 	fleet := s.fleetSnapshot()
+	// The sweep is one program-sharing scope, as a RunAll call is: its
+	// in-process points generate each distinct program once.
+	ctx = runner.WithPrograms(ctx)
 	if sw.search != nil {
 		s.runSearch(ctx, sw, fleet)
 	} else {
@@ -500,62 +508,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidBody, fmt.Errorf("decode submission: %w", err)))
 		return
 	}
-	grid, err := req.grid()
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidGrid, err))
-		return
-	}
-	tenant, err := normalizeTenant(req.Tenant)
-	if err != nil {
-		s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidTenant, err))
-		return
-	}
-	// Cap the expansion before allocating it: a small request body can
-	// still describe a combinatorially explosive grid.
-	switch size := grid.Size(); {
-	case size == 0:
-		s.httpError(w, r, http.StatusBadRequest, codedf(CodeInvalidGrid, "empty grid"))
-		return
-	case size > s.MaxPoints:
-		s.httpError(w, r, http.StatusBadRequest,
-			codedf(CodeGridTooLarge, "grid expands to %d points, exceeding this daemon's limit of %d", size, s.MaxPoints))
-		return
-	}
-	var run *searchRun
-	if req.Search != nil {
-		if run, err = newSearchRun(req.Search, grid); err != nil {
-			s.httpError(w, r, http.StatusBadRequest, coded(CodeInvalidSearch, err))
-			return
-		}
-	}
-	jobs := grid.Jobs()
-	sw, err := s.submit(jobs, tenant, s.disp.config(tenant), run)
-	if errors.Is(err, ErrDraining) {
-		s.httpError(w, r, http.StatusServiceUnavailable, coded(CodeDraining, err))
-		return
-	}
+	sw, err := s.open(req)
 	var quota *quotaError
-	if errors.As(err, &quota) {
+	switch {
+	case errors.Is(err, ErrDraining):
+		s.httpError(w, r, http.StatusServiceUnavailable, err)
+		return
+	case errors.As(err, &quota):
 		// 429 in the uniform envelope plus the quota fields, so schedulers
 		// can distinguish which budget tripped and back off accordingly:
 		//
 		//	{"error": "...", "code": "quota_exceeded", "tenant": "acme",
 		//	 "quota": "max_active_points" | "max_queued_sweeps", "limit": 500}
-		s.met.tenant.rejected.With(quota.Tenant, quota.Quota).Inc()
-		s.httpError(w, r, http.StatusTooManyRequests, quota)
+		s.httpError(w, r, http.StatusTooManyRequests, err)
+		return
+	case err != nil:
+		s.httpError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	if err != nil {
-		s.httpError(w, r, http.StatusInternalServerError, coded(CodeInternal, err))
-		return
-	}
-	resp := SubmitResponse{ID: sw.id, Jobs: len(jobs)}
-	if run != nil {
-		resp.Budget = run.searcher.Config().Budget
+	resp := SubmitResponse{ID: sw.id, Jobs: len(sw.jobs)}
+	if sw.search != nil {
+		resp.Budget = sw.search.searcher.Config().Budget
 	}
 	s.log().Info("sweep submitted",
-		"req", requestID(r.Context()), "sweep", sw.id, "tenant", tenant,
-		"jobs", len(jobs), "search", run != nil, "stream", stream)
+		"req", requestID(r.Context()), "sweep", sw.id, "tenant", sw.tenant,
+		"jobs", len(sw.jobs), "search", sw.search != nil, "stream", stream)
 	if stream {
 		// Synchronous mode: stream results on this connection and cancel
 		// the sweep when the client goes away — an aborted curl stops the
@@ -567,6 +544,67 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
 	writeJSON(w, resp)
+}
+
+// open validates a submission and starts its sweep: the one path from a
+// SubmitRequest to a running sweep, shared by POST /v1/sweeps and Sweep.
+// Every error carries its envelope code: a validation code, or
+// quota_exceeded or draining from submit.
+func (s *Server) open(req SubmitRequest) (*sweep, error) {
+	grid, err := req.grid()
+	if err != nil {
+		return nil, coded(CodeInvalidGrid, err)
+	}
+	tenant, err := normalizeTenant(req.Tenant)
+	if err != nil {
+		return nil, coded(CodeInvalidTenant, err)
+	}
+	// Cap the expansion before allocating it: a small request body can
+	// still describe a combinatorially explosive grid.
+	switch size := grid.Size(); {
+	case size == 0:
+		return nil, codedf(CodeInvalidGrid, "empty grid")
+	case size > s.MaxPoints:
+		return nil, codedf(CodeGridTooLarge, "grid expands to %d points, exceeding this daemon's limit of %d", size, s.MaxPoints)
+	}
+	var run *searchRun
+	if req.Search != nil {
+		if run, err = newSearchRun(req.Search, grid); err != nil {
+			return nil, coded(CodeInvalidSearch, err)
+		}
+	}
+	sw, err := s.submit(grid.Jobs(), tenant, s.disp.config(tenant), run)
+	var quota *quotaError
+	if errors.As(err, &quota) {
+		s.met.tenant.rejected.With(quota.Tenant, quota.Quota).Inc()
+	} else if errors.Is(err, ErrDraining) {
+		err = coded(CodeDraining, err)
+	}
+	return sw, err
+}
+
+// Sweep runs a submission on this server and returns its rows in the order
+// they settled, leaderboard rows included: the in-process twin of
+// remote.Client.Sweep. The request is validated and admitted as
+// POST /v1/sweeps does it, with the same coded errors. Cancelling ctx
+// cancels the sweep; Sweep then returns the rows settled so far and the
+// context's cause.
+func (s *Server) Sweep(ctx context.Context, req SubmitRequest) ([]Point, error) {
+	sw, err := s.open(req)
+	if err != nil {
+		return nil, err
+	}
+	stop := context.AfterFunc(ctx, func() { sw.cancel(context.Cause(ctx)) })
+	defer stop()
+	var rows []Point
+	for {
+		points, done, changed := sw.next(len(rows))
+		rows = append(rows, points...)
+		if done {
+			return rows, context.Cause(ctx)
+		}
+		<-changed
+	}
 }
 
 // decodeStrict decodes JSON rejecting unknown fields and trailing garbage.

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -683,5 +686,95 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestSweepMatchesSubmit: Server.Sweep is POST /v1/sweeps without the HTTP.
+// A bad request gets the error the route's envelope carries, and a good
+// one returns the rows the route streams.
+func TestSweepMatchesSubmit(t *testing.T) {
+	srv, ts := testServer(t, nil)
+	srv.MaxPoints = 4
+	for _, body := range []string{
+		`{"benchmarks": ["no-such-benchmark"]}`,
+		`{"benchmarks": ["histogram"], "runtimes": ["vaporware"]}`,
+		`{"benchmarks": ["histogram"], "cores": [1, 2, 3, 4, 5]}`,
+		`{"benchmarks": ["histogram"], "tenant": "no/slashes"}`,
+		`{"benchmarks": ["histogram"], "search": {"objective": "min:vibes"}}`,
+	} {
+		var req SubmitRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, ts.URL+"/v1/sweeps", body)
+		want := decode[ErrorResponse](t, resp.Body)
+		resp.Body.Close()
+		if _, err := srv.Sweep(context.Background(), req); err == nil {
+			t.Errorf("Sweep(%s) accepted a request the route rejects with %+v", body, want)
+		} else if got := envelope(resp.StatusCode, err); got != want {
+			t.Errorf("Sweep(%s) error %+v, the route's %+v", body, got, want)
+		}
+	}
+
+	body := `{"benchmarks": ["histogram"], "runtimes": ["software", "tdm"]}`
+	var req SubmitRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := srv.Sweep(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/v1/sweeps?stream=1", body)
+	defer resp.Body.Close()
+	var streamed []Point
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var p Point
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, p)
+	}
+	byIndex := func(ps []Point) func(i, j int) bool {
+		return func(i, j int) bool { return ps[i].Index < ps[j].Index }
+	}
+	sort.Slice(rows, byIndex(rows))
+	sort.Slice(streamed, byIndex(streamed))
+	if len(rows) != 2 || !reflect.DeepEqual(rows, streamed) {
+		t.Errorf("Sweep rows differ from the streamed rows:\nSweep:  %+v\nstream: %+v", rows, streamed)
+	}
+
+	srv.Drain(nil)
+	resp = postJSON(t, ts.URL+"/v1/sweeps", body)
+	want := decode[ErrorResponse](t, resp.Body)
+	resp.Body.Close()
+	if _, err := srv.Sweep(context.Background(), req); err == nil || envelope(resp.StatusCode, err) != want {
+		t.Errorf("Sweep on a draining server returned %v, the route %+v", err, want)
+	}
+}
+
+// TestSweepCancelledContext: cancelling Sweep's context cancels the sweep,
+// here one whose points would otherwise block forever, and Sweep returns
+// the context's cause.
+func TestSweepCancelledContext(t *testing.T) {
+	srv, _, _ := gatedServer(t)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	stop := errors.New("caller gave up")
+	cancel(stop)
+	rows, err := srv.Sweep(ctx, SubmitRequest{Benchmarks: []string{"histogram"}, Runtimes: []string{"software"}})
+	if !errors.Is(err, stop) {
+		t.Fatalf("Sweep under a cancelled context = %v, want its cause", err)
+	}
+	for _, p := range rows {
+		if !p.Cancelled {
+			t.Errorf("row settled despite the cancellation: %+v", p)
+		}
+	}
+	srv.mu.Lock()
+	sw := srv.sweeps[srv.order[0]]
+	srv.mu.Unlock()
+	if st := sw.status(); st.State != StateCancelled {
+		t.Errorf("sweep state = %s, want cancelled", st.State)
 	}
 }

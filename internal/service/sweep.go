@@ -260,13 +260,14 @@ func (s *sweep) next(offset int) ([]Point, bool, <-chan struct{}) {
 	return out, done, s.changed
 }
 
-// pointOf flattens a finished job into its streamed record.
-func pointOf(idx int, j runner.Job, key string, base core.Config, res *core.Result, err error, cancelled bool) Point {
+// PointOf flattens a finished job into its result row: the job's grid
+// coordinates under base, then err's message or res's measurements.
+// Hardware-scheduled runtimes (Carbon, Task Superscalar) report scheduler
+// "-": a software policy there would be misleading.
+func PointOf(idx int, j runner.Job, key string, base core.Config, res *core.Result, err error) Point {
 	cfg := j.Config(base)
 	scheduler := cfg.Scheduler
 	if !j.Runtime.UsesSoftwareScheduler() {
-		// Carbon and Task Superscalar schedule in hardware; reporting a
-		// software policy here would be misleading.
 		scheduler = "-"
 	}
 	p := Point{
@@ -277,7 +278,6 @@ func pointOf(idx int, j runner.Job, key string, base core.Config, res *core.Resu
 		Scheduler:   scheduler,
 		Cores:       cfg.Machine.Cores,
 		Granularity: j.Granularity,
-		Cancelled:   cancelled,
 	}
 	switch {
 	case err != nil:

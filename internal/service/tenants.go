@@ -385,11 +385,11 @@ func normalizeTenant(name string) (string, error) {
 // Other tenants' sweeps are never candidates.
 func (s *Server) ConfigureTenant(name string, cfg TenantConfig) ([]string, error) {
 	name, err := normalizeTenant(name)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = cfg.validate()
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, coded(CodeInvalidTenant, err)
 	}
 	s.disp.configure(name, cfg)
 	preempted := s.preemptOverQuota(name, cfg)

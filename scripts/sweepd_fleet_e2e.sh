@@ -9,6 +9,8 @@
 # worker (mid-sweep and after completion) and asserts the observability
 # counters recorded what actually happened: the requeues after the kill, the
 # survivor's executions, and the store hits when the grid is resubmitted warm.
+# It runs the search grid through `sweep -search` in process and with -remote
+# and compares the two leaderboards byte for byte.
 # Finally it boots a second coordinator with a cold store pointed at the
 # first via -store-peers and proves the whole sweep is served by peer fetch:
 # byte-identical output, zero simulations, zero dispatched points.
@@ -199,6 +201,20 @@ coord_metrics=$(curl -fsS "http://$coord_addr/metrics")
 rungs=$(echo "$coord_metrics" | awk '/^search_rungs_total / {print int($2)}')
 [ "${rungs:-0}" -ge 1 ] || fail "search_rungs_total not incremented: $coord_metrics"
 echo "search matched the exhaustive winner ($search_winner) evaluating $evaluated/$space points ($saved saved)"
+
+# The same search through the CLI, in process and against the coordinator,
+# with the objective spelled non-canonically: both paths submit it to the
+# sweep service, so leaderboard and summary must match byte for byte.
+SEARCH=(-search halving -objective cycles -budget 6 -search-seed 1)
+"$workdir/sweep" "${GRID[@]}" "${SEARCH[@]}" -o "$workdir/search-local.csv" \
+  2>"$workdir/search-local.log" || fail "local search failed"
+"$workdir/sweep" -remote "http://$coord_addr" "${GRID[@]}" "${SEARCH[@]}" -o "$workdir/search-remote.csv" \
+  2>"$workdir/search-remote.log" || fail "remote search failed"
+cmp "$workdir/search-local.csv" "$workdir/search-remote.csv" ||
+  fail "remote search leaderboard differs from the local one"
+cmp "$workdir/search-local.log" "$workdir/search-remote.log" ||
+  fail "remote search summary differs from the local one"
+echo "CLI search: local and remote leaderboards are byte-identical"
 
 # Fleet-wide cache: a second coordinator with a cold store but the first
 # coordinator as a store peer serves the same grid without simulating or
