@@ -57,7 +57,7 @@ import (
 func TestSuiteShape(t *testing.T) {
 	gate := regexp.MustCompile(`Quick|Micro`)
 	for _, bench := range []func(*testing.B){
-		BenchmarkMicroSimEngine, BenchmarkMicroSimResource,
+		BenchmarkMicroSimEngine, BenchmarkMicroSimRunAhead, BenchmarkMicroSimResource,
 		BenchmarkMicroDMUAddDependence, BenchmarkMicroDMUWholeCholesky,
 		BenchmarkMicroBlockDense,
 		BenchmarkMicroStoreHit, BenchmarkMicroStoreMiss, BenchmarkMicroStorePeerFetch,
@@ -251,7 +251,8 @@ func BenchmarkMicroBlockDense(b *testing.B) {
 
 // BenchmarkMicroSimEngine measures the raw discrete-event engine: 8 processes
 // of 200 timed waits each, the park/resume pattern of every worker thread in
-// the machine model.
+// the machine model. The processes wait in lockstep, so each wake-up ties
+// with the others' already queued for the same cycle and every wait parks.
 func BenchmarkMicroSimEngine(b *testing.B) {
 	const procs, waits = 8, 200
 	var end sim.Time
@@ -271,6 +272,38 @@ func BenchmarkMicroSimEngine(b *testing.B) {
 	}
 	reportSimCycles(b, float64(end))
 	b.ReportMetric(procs*waits+procs, "events/op")
+}
+
+// BenchmarkMicroSimRunAhead measures the waits Proc.Wait advances inline: one
+// process runs ahead with 1000 one-cycle waits while 7 others wait 100
+// cycles 10 times in lockstep, so the leader's wake-up is the next event
+// due, and it keeps running without a park, on all but every hundredth wait.
+func BenchmarkMicroSimRunAhead(b *testing.B) {
+	const followers, leaderWaits, followerWaits = 7, 1000, 10
+	var end sim.Time
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine()
+		eng.Spawn("leader", func(pr *sim.Proc) {
+			for k := 0; k < leaderWaits; k++ {
+				pr.Wait(1)
+			}
+		})
+		for p := 0; p < followers; p++ {
+			eng.Spawn("follower", func(pr *sim.Proc) {
+				for k := 0; k < followerWaits; k++ {
+					pr.Wait(leaderWaits / followerWaits)
+				}
+			})
+		}
+		var err error
+		if end, err = eng.Run(); err != nil {
+			b.Fatal(err)
+		}
+		events = eng.EventsExecuted()
+	}
+	reportSimCycles(b, float64(end))
+	b.ReportMetric(float64(events), "events/op")
 }
 
 // BenchmarkMicroSimResource measures the exclusive-resource handoff that

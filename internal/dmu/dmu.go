@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/fifo"
 	"repro/internal/task"
 )
 
@@ -474,13 +475,10 @@ func (d *DMU) SuccessorCount(desc uint64) (int, OpResult, error) {
 	return d.taskTable[id].numSucc, d.result(2, 0), nil
 }
 
-// readyQueue is the FIFO of ready task IDs, backed by a ring buffer that
-// grows on demand up to the configured capacity (popping from the front of a
-// plain slice would shed its capacity and reallocate continuously).
+// readyQueue is the FIFO of ready task IDs, bounded by the configured
+// capacity.
 type readyQueue struct {
-	buf      []int32
-	head     int
-	count    int
+	ids      fifo.Queue[int32]
 	capacity int
 	maxLen   int
 }
@@ -490,52 +488,19 @@ func newReadyQueue(capacity int) *readyQueue {
 }
 
 func (q *readyQueue) push(id int32) bool {
-	if q.count >= q.capacity {
+	if q.ids.Len() >= q.capacity {
 		return false
 	}
-	if q.count == len(q.buf) {
-		q.grow()
-	}
-	tail := q.head + q.count
-	if tail >= len(q.buf) {
-		tail -= len(q.buf)
-	}
-	q.buf[tail] = id
-	q.count++
-	if q.count > q.maxLen {
-		q.maxLen = q.count
-	}
+	q.ids.Push(id)
+	q.maxLen = max(q.maxLen, q.ids.Len())
 	return true
 }
 
-// grow doubles the ring, re-linearizing the live elements at the front.
-func (q *readyQueue) grow() {
-	size := len(q.buf) * 2
-	if size < 8 {
-		size = 8
-	}
-	if size > q.capacity {
-		size = q.capacity
-	}
-	fresh := make([]int32, size)
-	for i := 0; i < q.count; i++ {
-		fresh[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = fresh
-	q.head = 0
-}
-
 func (q *readyQueue) pop() (int32, bool) {
-	if q.count == 0 {
+	if q.ids.Len() == 0 {
 		return 0, false
 	}
-	id := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.head = 0
-	}
-	q.count--
-	return id, true
+	return q.ids.Pop(), true
 }
 
-func (q *readyQueue) len() int { return q.count }
+func (q *readyQueue) len() int { return q.ids.Len() }

@@ -13,7 +13,11 @@
 // TDM addresses.
 package hwsched
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fifo"
+)
 
 // Entry is what the hardware queues store: a task descriptor address plus the
 // successor count the dependence tracker reported when the task became ready.
@@ -26,7 +30,7 @@ type Entry struct {
 // hardware FIFO per core, with enqueue to the producing core's queue and
 // hardware work stealing on dequeue.
 type CarbonQueues struct {
-	queues   [][]Entry
+	queues   []fifo.Queue[Entry]
 	capacity int
 
 	enqueues  uint64
@@ -45,7 +49,7 @@ func NewCarbonQueues(cores, capacity int) *CarbonQueues {
 	if cores < 1 || capacity < 1 {
 		panic(fmt.Sprintf("hwsched: invalid Carbon configuration cores=%d capacity=%d", cores, capacity))
 	}
-	return &CarbonQueues{queues: make([][]Entry, cores), capacity: capacity}
+	return &CarbonQueues{queues: make([]fifo.Queue[Entry], cores), capacity: capacity}
 }
 
 // Cores returns the number of per-core queues.
@@ -58,12 +62,12 @@ func (c *CarbonQueues) Enqueue(core int, e Entry) bool {
 	if core < 0 || core >= len(c.queues) {
 		core = 0
 	}
-	if len(c.queues[core]) >= c.capacity {
+	if c.queues[core].Len() >= c.capacity {
 		c.overflows++
 		return false
 	}
 	c.enqueues++
-	c.queues[core] = append(c.queues[core], e)
+	c.queues[core].Push(e)
 	c.queued++
 	if c.queued > c.maxQueued {
 		c.maxQueued = c.queued
@@ -78,17 +82,17 @@ func (c *CarbonQueues) Dequeue(core int) (Entry, bool) {
 	if core < 0 || core >= len(c.queues) {
 		core = 0
 	}
-	if len(c.queues[core]) > 0 {
+	if c.queues[core].Len() > 0 {
 		return c.take(core), true
 	}
 	// Steal from the longest queue to balance load, breaking ties by the
 	// lowest core index for determinism.
 	victim := -1
 	for i := range c.queues {
-		if len(c.queues[i]) == 0 {
+		if c.queues[i].Len() == 0 {
 			continue
 		}
-		if victim == -1 || len(c.queues[i]) > len(c.queues[victim]) {
+		if victim == -1 || c.queues[i].Len() > c.queues[victim].Len() {
 			victim = i
 		}
 	}
@@ -100,11 +104,9 @@ func (c *CarbonQueues) Dequeue(core int) (Entry, bool) {
 }
 
 func (c *CarbonQueues) take(core int) Entry {
-	e := c.queues[core][0]
-	c.queues[core] = c.queues[core][1:]
 	c.dequeues++
 	c.queued--
-	return e
+	return c.queues[core].Pop()
 }
 
 // Len returns the total number of queued tasks across all cores.
@@ -133,7 +135,7 @@ type CarbonStats struct {
 // GlobalQueue is a single hardware FIFO, the ready queue of the Task
 // Superscalar pipeline.
 type GlobalQueue struct {
-	buf      []Entry
+	buf      fifo.Queue[Entry]
 	capacity int
 
 	enqueues  uint64
@@ -152,31 +154,27 @@ func NewGlobalQueue(capacity int) *GlobalQueue {
 
 // Enqueue appends an entry, reporting false on overflow.
 func (g *GlobalQueue) Enqueue(e Entry) bool {
-	if len(g.buf) >= g.capacity {
+	if g.buf.Len() >= g.capacity {
 		g.overflows++
 		return false
 	}
 	g.enqueues++
-	g.buf = append(g.buf, e)
-	if len(g.buf) > g.maxQueued {
-		g.maxQueued = len(g.buf)
-	}
+	g.buf.Push(e)
+	g.maxQueued = max(g.maxQueued, g.buf.Len())
 	return true
 }
 
 // Dequeue pops the oldest entry.
 func (g *GlobalQueue) Dequeue() (Entry, bool) {
-	if len(g.buf) == 0 {
+	if g.buf.Len() == 0 {
 		return Entry{}, false
 	}
-	e := g.buf[0]
-	g.buf = g.buf[1:]
 	g.dequeues++
-	return e, true
+	return g.buf.Pop(), true
 }
 
 // Len returns the number of queued entries.
-func (g *GlobalQueue) Len() int { return len(g.buf) }
+func (g *GlobalQueue) Len() int { return g.buf.Len() }
 
 // Stats reports activity counters.
 func (g *GlobalQueue) Stats() GlobalStats {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/fifo"
 	"repro/internal/task"
 )
 
@@ -88,7 +89,7 @@ func New(name string, cores int) (Scheduler, error) {
 
 // FIFOScheduler schedules tasks in the order they became ready.
 type FIFOScheduler struct {
-	queue []*ReadyTask
+	queue fifo.Queue[*ReadyTask]
 	seq   uint64
 }
 
@@ -102,21 +103,19 @@ func (s *FIFOScheduler) Name() string { return FIFO }
 func (s *FIFOScheduler) Push(t *ReadyTask) {
 	t.ReadySeq = s.seq
 	s.seq++
-	s.queue = append(s.queue, t)
+	s.queue.Push(t)
 }
 
 // Pop implements Scheduler.
 func (s *FIFOScheduler) Pop(core int) *ReadyTask {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		return nil
 	}
-	t := s.queue[0]
-	s.queue = s.queue[1:]
-	return t
+	return s.queue.Pop()
 }
 
 // Len implements Scheduler.
-func (s *FIFOScheduler) Len() int { return len(s.queue) }
+func (s *FIFOScheduler) Len() int { return s.queue.Len() }
 
 // ---------------------------------------------------------------------------
 // LIFO
@@ -162,15 +161,15 @@ func (s *LIFOScheduler) Len() int { return len(s.stack) }
 // their own queue, then the global queue of affinity-less tasks, and finally
 // steal the oldest task from another core to avoid starvation.
 type LocalityScheduler struct {
-	perCore [][]*ReadyTask
-	global  []*ReadyTask
+	perCore []fifo.Queue[*ReadyTask]
+	global  fifo.Queue[*ReadyTask]
 	seq     uint64
 	queued  int
 }
 
 // NewLocality returns a locality-aware scheduler for the given core count.
 func NewLocality(cores int) *LocalityScheduler {
-	return &LocalityScheduler{perCore: make([][]*ReadyTask, cores)}
+	return &LocalityScheduler{perCore: make([]fifo.Queue[*ReadyTask], cores)}
 }
 
 // Name implements Scheduler.
@@ -182,10 +181,10 @@ func (s *LocalityScheduler) Push(t *ReadyTask) {
 	s.seq++
 	s.queued++
 	if t.Affinity >= 0 && t.Affinity < len(s.perCore) {
-		s.perCore[t.Affinity] = append(s.perCore[t.Affinity], t)
+		s.perCore[t.Affinity].Push(t)
 		return
 	}
-	s.global = append(s.global, t)
+	s.global.Push(t)
 }
 
 // Pop implements Scheduler.
@@ -193,22 +192,21 @@ func (s *LocalityScheduler) Pop(core int) *ReadyTask {
 	if s.queued == 0 {
 		return nil
 	}
-	if core >= 0 && core < len(s.perCore) && len(s.perCore[core]) > 0 {
+	if core >= 0 && core < len(s.perCore) && s.perCore[core].Len() > 0 {
 		return s.take(&s.perCore[core])
 	}
-	if len(s.global) > 0 {
+	if s.global.Len() > 0 {
 		return s.take(&s.global)
 	}
 	// Steal the globally oldest task among the other cores' queues.
 	best := -1
 	var bestSeq uint64
 	for c := range s.perCore {
-		if len(s.perCore[c]) == 0 {
+		if s.perCore[c].Len() == 0 {
 			continue
 		}
-		if best == -1 || s.perCore[c][0].ReadySeq < bestSeq {
-			best = c
-			bestSeq = s.perCore[c][0].ReadySeq
+		if seq := s.perCore[c].Front().ReadySeq; best == -1 || seq < bestSeq {
+			best, bestSeq = c, seq
 		}
 	}
 	if best == -1 {
@@ -217,11 +215,9 @@ func (s *LocalityScheduler) Pop(core int) *ReadyTask {
 	return s.take(&s.perCore[best])
 }
 
-func (s *LocalityScheduler) take(q *[]*ReadyTask) *ReadyTask {
-	t := (*q)[0]
-	*q = (*q)[1:]
+func (s *LocalityScheduler) take(q *fifo.Queue[*ReadyTask]) *ReadyTask {
 	s.queued--
-	return t
+	return q.Pop()
 }
 
 // Len implements Scheduler.
@@ -235,8 +231,8 @@ func (s *LocalityScheduler) Len() int { return s.queued }
 // they finish, so running them early exposes parallelism.
 type SuccessorScheduler struct {
 	threshold int
-	high      []*ReadyTask
-	low       []*ReadyTask
+	high      fifo.Queue[*ReadyTask]
+	low       fifo.Queue[*ReadyTask]
 	seq       uint64
 }
 
@@ -253,29 +249,25 @@ func (s *SuccessorScheduler) Push(t *ReadyTask) {
 	t.ReadySeq = s.seq
 	s.seq++
 	if t.NumSuccs >= s.threshold {
-		s.high = append(s.high, t)
+		s.high.Push(t)
 		return
 	}
-	s.low = append(s.low, t)
+	s.low.Push(t)
 }
 
 // Pop implements Scheduler.
 func (s *SuccessorScheduler) Pop(core int) *ReadyTask {
-	if len(s.high) > 0 {
-		t := s.high[0]
-		s.high = s.high[1:]
-		return t
+	if s.high.Len() > 0 {
+		return s.high.Pop()
 	}
-	if len(s.low) > 0 {
-		t := s.low[0]
-		s.low = s.low[1:]
-		return t
+	if s.low.Len() > 0 {
+		return s.low.Pop()
 	}
 	return nil
 }
 
 // Len implements Scheduler.
-func (s *SuccessorScheduler) Len() int { return len(s.high) + len(s.low) }
+func (s *SuccessorScheduler) Len() int { return s.high.Len() + s.low.Len() }
 
 // ---------------------------------------------------------------------------
 // Age

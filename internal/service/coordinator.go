@@ -320,8 +320,18 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 		case <-ctx.Done():
 			return
 		}
-		g, ok := s.disp.acquire(ctx, sw.tenant)
-		if !ok {
+		// Queue the grant request before yielding to the point launched
+		// last and to any other runnable goroutine, then wait for the grant.
+		// Without the yield, the loop and its point goroutines hand each
+		// processor straight to one another on every warm point, so the
+		// NDJSON writer woken by a settled point, and the network poller,
+		// wait until the sweep runs out of points. Queueing first keeps the
+		// tenant backlogged while the last point settles: a tenant with no
+		// queued or active grant counts as returning from idle, and its
+		// pass would jump to the busy tenants' virtual time.
+		g := s.disp.enqueue(sw.tenant)
+		runtime.Gosched()
+		if !s.disp.await(ctx, g) {
 			return
 		}
 		l := ls.take(ctx)
@@ -336,12 +346,6 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 			defer ls.put(l)
 			s.dispatchPoint(ctx, sw, l, t, attemptCap, queue, settle)
 		}()
-		// Yield to the point just launched and to any other runnable
-		// goroutine. Without it, the loop and its point goroutines hand
-		// each processor straight to one another on every warm point, so
-		// the NDJSON writer woken by a settled point, and the network
-		// poller, wait until the sweep runs out of points.
-		runtime.Gosched()
 	}
 }
 

@@ -250,17 +250,16 @@ func (d *dispatcher) enqueue(tenant string) *grant {
 	return g
 }
 
-// acquire blocks until the tenant's next grant is issued or the caller's
-// ctx dies. It returns false — with the grant safely withdrawn or released —
-// if ctx dies first.
-func (d *dispatcher) acquire(ctx context.Context, tenant string) (*grant, bool) {
-	g := d.enqueue(tenant)
+// await blocks until the queued grant g is issued or the caller's ctx dies.
+// It returns false — with the grant safely withdrawn or released — if ctx
+// dies first.
+func (d *dispatcher) await(ctx context.Context, g *grant) bool {
 	select {
 	case <-g.ch:
-		return g, true
+		return true
 	case <-ctx.Done():
 		d.abandon(g)
-		return nil, false
+		return false
 	}
 }
 

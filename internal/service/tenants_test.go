@@ -161,8 +161,11 @@ func TestDispatcherAbandon(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	hold := d.enqueue("a")
-	if _, ok := d.acquire(ctx, "a"); ok {
-		t.Error("acquire succeeded under a dead context with no capacity")
+	if d.await(ctx, d.enqueue("a")) {
+		t.Error("await succeeded under a dead context with no capacity")
+	}
+	if _, queued := d.counts("a"); queued != 0 {
+		t.Errorf("%d grants still queued after await gave up", queued)
 	}
 	_ = hold
 }

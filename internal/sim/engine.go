@@ -23,7 +23,9 @@
 // list (steady-state scheduling performs no allocation), the queue is an
 // inlined 4-ary implicit heap specialized for the (Time, seq) key, and the
 // engine hands control to a process with a runtime coroutine switch
-// (iter.Pull) that bypasses the Go scheduler.
+// (iter.Pull) that bypasses the Go scheduler. A Proc.Wait whose wake-up
+// would be the next event anyway skips both: it advances the clock inline,
+// exactly as if the process had parked and been resumed.
 package sim
 
 import (
@@ -90,17 +92,22 @@ type Engine struct {
 	// haltErr, when set, stops the run loop after the event currently
 	// executing; Run returns it. See Halt.
 	haltErr error
+
+	// horizon is the limit of the RunUntil call in progress, or -1 outside
+	// one, so Step never lets Proc.Wait advance the clock inline.
+	horizon Time
 }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{horizon: -1}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
 
 // EventsExecuted returns the number of events the engine has executed so far.
+// A Proc.Wait advanced inline counts as the one wake-up event it replaced.
 func (e *Engine) EventsExecuted() uint64 { return e.eventCount }
 
 // Pending returns the number of events currently scheduled.
@@ -259,6 +266,8 @@ func (e *Engine) RunUntil(horizon Time) (Time, error) {
 	if e.haltErr != nil {
 		return e.now, e.haltErr
 	}
+	e.horizon = horizon
+	defer func() { e.horizon = -1 }()
 	for len(e.events) > 0 {
 		next := e.events[0]
 		if next.at > horizon {

@@ -137,12 +137,25 @@ func (p *Proc) Suspend(reason string) {
 // allocation-free (the resume closure is precomputed at spawn), which
 // hotalloc enforces over Wait and everything it reaches.
 //
+// When the wake-up would be the next event RunUntil executes (no halt or
+// failure pending, within the horizon, every queued event strictly later),
+// Wait advances the clock without parking. It still takes the wake-up's
+// sequence number and counts it as executed, as parking would.
+//
 //simlint:hotpath
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.Schedule(d, p.resumeFn)
+	e := p.eng
+	if at := e.now + d; at <= e.horizon && e.haltErr == nil && e.procFailure == nil &&
+		(len(e.events) == 0 || e.events[0].at > at) {
+		e.now = at
+		e.seq++
+		e.eventCount++
+		return
+	}
+	e.Schedule(d, p.resumeFn)
 	p.waitArg = d
 	p.park(waitReasonTimer)
 }

@@ -51,16 +51,21 @@ type CreateResult struct {
 
 // FinishResult reports the work performed by FinishTask.
 type FinishResult struct {
-	// NewlyReady lists the successors whose predecessor count reached zero.
-	NewlyReady []task.ID
+	// NewlyReady lists the successors whose predecessor count reached zero,
+	// appended to the buffer the caller passed to FinishTask.
+	NewlyReady []Woken
 	// SuccessorsWoken is the number of successor updates performed.
 	SuccessorsWoken int
 	// DepsReleased is the number of dependence records this task was
 	// removed from.
 	DepsReleased int
-	// NumSuccsOf returns the successor count of each newly ready task at
-	// wake-up time, aligned with NewlyReady.
-	NumSuccsOf []int
+}
+
+// Woken is a successor made ready by FinishTask.
+type Woken struct {
+	ID task.ID
+	// NumSuccs is the successor's successor count at wake-up time.
+	NumSuccs int
 }
 
 // Tracker is the software dependence tracker.
@@ -178,10 +183,12 @@ func (t *Tracker) NumSuccs(id task.ID) int {
 }
 
 // FinishTask retires a task: successors lose one predecessor (those reaching
-// zero are returned as newly ready), and the task is detached from the
-// dependence records it participated in. Records with no remaining state are
-// deleted, bounding the tracker's footprint like the DMU's Algorithm 2.
-func (t *Tracker) FinishTask(id task.ID) (FinishResult, error) {
+// zero are appended to woken[:0] and returned as newly ready), and the task
+// is detached from the dependence records it participated in. Records with
+// no remaining state are deleted, bounding the tracker's footprint like the
+// DMU's Algorithm 2. The caller owns woken, so passing back the previous
+// NewlyReady reuses its array once the caller is done with it.
+func (t *Tracker) FinishTask(id task.ID, woken []Woken) (FinishResult, error) {
 	ts := t.tasks[id]
 	if ts == nil {
 		return FinishResult{}, fmt.Errorf("swdep: finish of unknown task %d", id)
@@ -192,14 +199,13 @@ func (t *Tracker) FinishTask(id task.ID) (FinishResult, error) {
 	ts.finished = true
 	t.finished++
 
-	var res FinishResult
+	res := FinishResult{NewlyReady: woken[:0]}
 	for _, s := range ts.succs {
 		succ := t.tasks[s]
 		succ.numPred--
 		res.SuccessorsWoken++
 		if succ.numPred == 0 {
-			res.NewlyReady = append(res.NewlyReady, s)
-			res.NumSuccsOf = append(res.NumSuccsOf, succ.numSucc)
+			res.NewlyReady = append(res.NewlyReady, Woken{ID: s, NumSuccs: succ.numSucc})
 		}
 	}
 	for _, d := range ts.deps {

@@ -36,14 +36,14 @@ func TestDuplicateCreateFails(t *testing.T) {
 
 func TestFinishUnknownOrTwiceFails(t *testing.T) {
 	tr := NewTracker()
-	if _, err := tr.FinishTask(7); err == nil {
+	if _, err := tr.FinishTask(7, nil); err == nil {
 		t.Fatal("finish of unknown task accepted")
 	}
 	tr.CreateTask(spec(0))
-	if _, err := tr.FinishTask(0); err != nil {
+	if _, err := tr.FinishTask(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.FinishTask(0); err == nil {
+	if _, err := tr.FinishTask(0, nil); err == nil {
 		t.Fatal("double finish accepted")
 	}
 }
@@ -56,15 +56,18 @@ func TestRAWChain(t *testing.T) {
 	if !r0.Ready || r1.Ready || r2.Ready {
 		t.Fatalf("readiness wrong: %v %v %v", r0.Ready, r1.Ready, r2.Ready)
 	}
-	f0, _ := tr.FinishTask(0)
-	if len(f0.NewlyReady) != 1 || f0.NewlyReady[0] != 1 {
-		t.Fatalf("finish(0) woke %v, want [1]", f0.NewlyReady)
+	// The wake list lands in the caller's buffer, which the next finish
+	// may reuse.
+	buf := make([]Woken, 0, 4)
+	f0, _ := tr.FinishTask(0, buf)
+	if len(f0.NewlyReady) != 1 || f0.NewlyReady[0].ID != 1 || &f0.NewlyReady[0] != &buf[:1][0] {
+		t.Fatalf("finish(0) woke %v, want [1] in the caller's buffer", f0.NewlyReady)
 	}
-	f1, _ := tr.FinishTask(1)
-	if len(f1.NewlyReady) != 1 || f1.NewlyReady[0] != 2 {
-		t.Fatalf("finish(1) woke %v, want [2]", f1.NewlyReady)
+	f1, _ := tr.FinishTask(1, f0.NewlyReady)
+	if len(f1.NewlyReady) != 1 || f1.NewlyReady[0].ID != 2 || &f1.NewlyReady[0] != &buf[:1][0] {
+		t.Fatalf("finish(1) woke %v, want [2] in the caller's buffer", f1.NewlyReady)
 	}
-	tr.FinishTask(2)
+	tr.FinishTask(2, nil)
 	if !tr.Quiescent() {
 		t.Fatal("tracker not quiescent after chain")
 	}
@@ -82,13 +85,13 @@ func TestWARAndReaders(t *testing.T) {
 	if w.EdgesInserted != 3 {
 		t.Fatalf("writer edges = %d, want 3 (WAW + 2x WAR)", w.EdgesInserted)
 	}
-	tr.FinishTask(0)
-	f1, _ := tr.FinishTask(1)
+	tr.FinishTask(0, nil)
+	f1, _ := tr.FinishTask(1, nil)
 	if len(f1.NewlyReady) != 0 {
 		t.Fatal("writer woke too early")
 	}
-	f2, _ := tr.FinishTask(2)
-	if len(f2.NewlyReady) != 1 || f2.NewlyReady[0] != 3 {
+	f2, _ := tr.FinishTask(2, nil)
+	if len(f2.NewlyReady) != 1 || f2.NewlyReady[0].ID != 3 {
 		t.Fatalf("writer not woken by last reader: %v", f2.NewlyReady)
 	}
 }
@@ -99,12 +102,9 @@ func TestNumSuccsVisibleAtWake(t *testing.T) {
 	tr.CreateTask(spec(1, in(0xC), out(0xD)))
 	tr.CreateTask(spec(2, in(0xD)))
 	// Task 1 has one successor (task 2) known before task 0 finishes.
-	f, _ := tr.FinishTask(0)
-	if len(f.NewlyReady) != 1 || f.NewlyReady[0] != 1 {
-		t.Fatalf("NewlyReady = %v", f.NewlyReady)
-	}
-	if len(f.NumSuccsOf) != 1 || f.NumSuccsOf[0] != 1 {
-		t.Fatalf("NumSuccsOf = %v, want [1]", f.NumSuccsOf)
+	f, _ := tr.FinishTask(0, nil)
+	if len(f.NewlyReady) != 1 || f.NewlyReady[0] != (Woken{ID: 1, NumSuccs: 1}) {
+		t.Fatalf("NewlyReady = %v, want [{1 1}]", f.NewlyReady)
 	}
 	if tr.NumSuccs(1) != 1 {
 		t.Fatalf("NumSuccs(1) = %d", tr.NumSuccs(1))
@@ -117,7 +117,7 @@ func TestNumSuccsVisibleAtWake(t *testing.T) {
 func TestRetiredProducerCreatesNoEdge(t *testing.T) {
 	tr := NewTracker()
 	tr.CreateTask(spec(0, out(0xE)))
-	tr.FinishTask(0)
+	tr.FinishTask(0, nil)
 	res, _ := tr.CreateTask(spec(1, in(0xE)))
 	if !res.Ready || res.EdgesInserted != 0 {
 		t.Fatalf("consumer of retired producer should be ready with no edges: %+v", res)
@@ -125,7 +125,7 @@ func TestRetiredProducerCreatesNoEdge(t *testing.T) {
 	if tr.TrackedDeps() == 0 {
 		t.Fatal("dependence record should exist while the reader is in flight")
 	}
-	tr.FinishTask(1)
+	tr.FinishTask(1, nil)
 	if !tr.Quiescent() {
 		t.Fatal("tracker leaked dependence records")
 	}
@@ -136,7 +136,7 @@ func TestFinishResultCounts(t *testing.T) {
 	tr.CreateTask(spec(0, out(0x1), out(0x2)))
 	tr.CreateTask(spec(1, in(0x1)))
 	tr.CreateTask(spec(2, in(0x2)))
-	f, _ := tr.FinishTask(0)
+	f, _ := tr.FinishTask(0, nil)
 	if f.SuccessorsWoken != 2 || len(f.NewlyReady) != 2 || f.DepsReleased != 2 {
 		t.Fatalf("finish result = %+v", f)
 	}
@@ -170,6 +170,20 @@ func TestPropertyTrackerMatchesGoldenGraph(t *testing.T) {
 		v := task.NewOrderValidator(g)
 		tr := NewTracker()
 		var ready []task.ID
+		var woken []Woken
+		finish := func(id task.ID) bool {
+			v.Start(id)
+			v.Finish(id)
+			fr, err := tr.FinishTask(id, woken)
+			if err != nil {
+				return false
+			}
+			for _, w := range fr.NewlyReady {
+				ready = append(ready, w.ID)
+			}
+			woken = fr.NewlyReady
+			return true
+		}
 		for _, s := range p.Tasks() {
 			res, err := tr.CreateTask(s)
 			if err != nil {
@@ -183,25 +197,17 @@ func TestPropertyTrackerMatchesGoldenGraph(t *testing.T) {
 			if len(ready) > 3 {
 				id := ready[0]
 				ready = ready[1:]
-				v.Start(id)
-				v.Finish(id)
-				fr, err := tr.FinishTask(id)
-				if err != nil {
+				if !finish(id) {
 					return false
 				}
-				ready = append(ready, fr.NewlyReady...)
 			}
 		}
 		for len(ready) > 0 {
 			id := ready[0]
 			ready = ready[1:]
-			v.Start(id)
-			v.Finish(id)
-			fr, err := tr.FinishTask(id)
-			if err != nil {
+			if !finish(id) {
 				return false
 			}
-			ready = append(ready, fr.NewlyReady...)
 		}
 		return v.Err() == nil && tr.Quiescent()
 	}

@@ -47,6 +47,8 @@ func newBackend(rs *runState) (backend, error) {
 
 // pushToPool inserts a ready task into a software scheduler pool, charging
 // the push cost and waking one idle thread.
+//
+//simlint:hotpath
 func pushToPool(tc *threadCtx, pool sched.Scheduler, rt *sched.ReadyTask) {
 	tc.charge(stats.Sched, tc.rs.costs.SchedPush)
 	pool.Push(rt)

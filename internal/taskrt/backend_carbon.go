@@ -41,6 +41,7 @@ func (b *carbonBackend) enqueue(tc *threadCtx, spec *task.Spec, numSuccs int) {
 	b.rs.notifyWork(1)
 }
 
+//simlint:hotpath
 func (b *carbonBackend) createTask(tc *threadCtx, spec *task.Spec) {
 	costs := b.rs.costs
 	tc.charge(stats.Deps, costs.SwTaskAlloc+int64(len(spec.Deps))*costs.SwDepMatch)
@@ -54,20 +55,23 @@ func (b *carbonBackend) createTask(tc *threadCtx, spec *task.Spec) {
 	}
 }
 
+//simlint:hotpath
 func (b *carbonBackend) finishTask(tc *threadCtx, spec *task.Spec) {
 	costs := b.rs.costs
 	tc.charge(stats.Deps, costs.SwFinishBase)
-	res, err := b.tracker.FinishTask(spec.ID)
+	res, err := b.tracker.FinishTask(spec.ID, tc.woken)
 	if err != nil {
 		panic(fmt.Sprintf("taskrt: carbon finish: %v", err))
 	}
+	tc.woken = res.NewlyReady
 	tc.charge(stats.Deps,
 		int64(res.SuccessorsWoken)*costs.SwWakeSuccessor+int64(res.DepsReleased)*costs.SwDepRelease)
-	for i, id := range res.NewlyReady {
-		b.enqueue(tc, b.rs.specs[id], res.NumSuccsOf[i])
+	for _, w := range res.NewlyReady {
+		b.enqueue(tc, b.rs.specs[w.ID], w.NumSuccs)
 	}
 }
 
+//simlint:hotpath
 func (b *carbonBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 	tc.charge(stats.Sched, b.rs.costs.HwQueueDequeue)
 	entry, ok := b.queues.Dequeue(tc.core)

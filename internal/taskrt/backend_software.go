@@ -26,6 +26,7 @@ func newSoftwareBackend(rs *runState) (*softwareBackend, error) {
 	return &softwareBackend{rs: rs, tracker: swdep.NewTracker(), pool: pool}, nil
 }
 
+//simlint:hotpath
 func (b *softwareBackend) createTask(tc *threadCtx, spec *task.Spec) {
 	costs := b.rs.costs
 	// Descriptor allocation plus per-dependence matching against the
@@ -42,21 +43,23 @@ func (b *softwareBackend) createTask(tc *threadCtx, spec *task.Spec) {
 	}
 }
 
+//simlint:hotpath
 func (b *softwareBackend) finishTask(tc *threadCtx, spec *task.Spec) {
 	costs := b.rs.costs
 	tc.charge(stats.Deps, costs.SwFinishBase)
-	res, err := b.tracker.FinishTask(spec.ID)
+	res, err := b.tracker.FinishTask(spec.ID, tc.woken)
 	if err != nil {
 		panic(fmt.Sprintf("taskrt: software finish: %v", err))
 	}
+	tc.woken = res.NewlyReady
 	tc.charge(stats.Deps,
 		int64(res.SuccessorsWoken)*costs.SwWakeSuccessor+int64(res.DepsReleased)*costs.SwDepRelease)
-	for i, id := range res.NewlyReady {
-		succ := b.rs.specs[id]
-		pushToPool(tc, b.pool, b.rs.readyFromSpec(succ, res.NumSuccsOf[i], tc.core))
+	for _, w := range res.NewlyReady {
+		pushToPool(tc, b.pool, b.rs.readyFromSpec(b.rs.specs[w.ID], w.NumSuccs, tc.core))
 	}
 }
 
+//simlint:hotpath
 func (b *softwareBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 	tc.charge(stats.Sched, b.rs.costs.SchedPop)
 	b.rs.schedPops++

@@ -8,6 +8,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/swdep"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -170,6 +171,8 @@ func (rs *runState) descOf(id task.ID) uint64 {
 
 // specOf resolves a task descriptor address back to its specification,
 // inverting descOf.
+//
+//simlint:hotpath
 func (rs *runState) specOf(desc uint64) *task.Spec {
 	off := desc - descriptorBase
 	if desc < descriptorBase || off%descriptorStride != 0 || off/descriptorStride >= uint64(len(rs.specs)) {
@@ -181,6 +184,8 @@ func (rs *runState) specOf(desc uint64) *task.Spec {
 // readyFromSpec builds the scheduler's view of a ready task in the task's
 // entry of rs.ready. A task becomes ready once per run, so no entry is
 // handed out twice.
+//
+//simlint:hotpath
 func (rs *runState) readyFromSpec(spec *task.Spec, numSuccs, affinity int) *sched.ReadyTask {
 	rt := &rs.ready[spec.ID]
 	*rt = sched.ReadyTask{Spec: spec, NumSuccs: numSuccs, Affinity: affinity}
@@ -201,6 +206,8 @@ func (rs *runState) noteCreated(spec *task.Spec) {
 // when the last outstanding task retires. It also records the task's
 // queue-to-retire latency and samples the runtime's in-flight occupancy —
 // reads of the simulated clock only, so telemetry never perturbs timing.
+//
+//simlint:hotpath
 func (rs *runState) noteExecuted(core int, spec *task.Spec) {
 	rs.executed++
 	rs.executedByCore[core]++
@@ -287,6 +294,12 @@ type threadCtx struct {
 	proc      *sim.Proc
 	core      int
 	breakdown stats.Breakdown
+
+	// woken is the thread's buffer for the successors a software finish
+	// makes ready. It belongs to the thread, not to the shared tracker: the
+	// wake loop charges cycles per successor, so the thread can park
+	// mid-loop while another thread finishes a task on the same tracker.
+	woken []swdep.Woken
 }
 
 // charge advances simulated time by cycles and accounts them to the phase.
@@ -296,6 +309,8 @@ func (tc *threadCtx) charge(phase stats.Phase, cycles int64) {
 
 // chargeLabeled is charge with a timeline label (for example the kernel name
 // of an executing task).
+//
+//simlint:hotpath
 func (tc *threadCtx) chargeLabeled(phase stats.Phase, cycles int64, label string) {
 	if cycles <= 0 {
 		return

@@ -50,6 +50,8 @@ func (rs *runState) workerThread(tc *threadCtx) {
 // workOnce tries to acquire, execute and finish one task. It returns false if
 // no task was available. It is the task-boundary cancellation point of every
 // simulated thread: a cancelled run stops here before acquiring another task.
+//
+//simlint:hotpath
 func (rs *runState) workOnce(tc *threadCtx) bool {
 	rs.checkCancel(tc)
 	rt := rs.backend.acquireTask(tc)
@@ -81,6 +83,8 @@ func (rs *runState) assistUntil(tc *threadCtx, can func() bool) {
 
 // executeTask charges the (locality-adjusted) task body duration to the
 // executing core and validates the dependence order.
+//
+//simlint:hotpath
 func (rs *runState) executeTask(tc *threadCtx, rt *sched.ReadyTask) {
 	spec := rt.Spec
 	if rs.validator != nil {
