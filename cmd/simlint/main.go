@@ -8,29 +8,17 @@
 // guard are documented in the README's "Static analysis" section; -list
 // prints them. -only restricts the run to a comma-separated subset.
 //
-// Findings that carry a suggested fix can be repaired in place: -fix applies
-// the edits atomically (temp file + rename per source file), and
-// -fix -dry-run prints the unified diff that WOULD be applied and exits 1 if
-// there is one — the mode CI's drift check runs nightly. -json emits the
-// findings as a machine-readable array for tooling, and -v reports load and
-// analysis wall time plus loader statistics.
-//
 // simlint is a standalone multichecker rather than a `go vet -vettool`
 // because the vettool protocol needs golang.org/x/tools/go/analysis, and
 // this repository builds with the standard library alone.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/analysis"
 )
@@ -44,10 +32,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
-	dryRun := fs.Bool("dry-run", false, "with -fix: print the diff instead of writing, exit 1 if any fix would apply")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
-	verbose := fs.Bool("v", false, "report wall time and loader statistics on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -56,10 +40,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *dryRun && !*fix {
-		fmt.Fprintln(stderr, "simlint: -dry-run only makes sense with -fix")
-		return 2
 	}
 	analyzers := analysis.All()
 	if *only != "" {
@@ -89,140 +69,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "simlint: %v\n", err)
 		return 2
 	}
-	loader := analysis.NewLoader(wd)
-	loadStart := time.Now()
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := analysis.NewLoader(wd).Load(patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "simlint: %v\n", err)
 		return 2
 	}
-	loadTime := time.Since(loadStart)
-	analyzeStart := time.Now()
 	diags, err := analysis.RunPackages(analyzers, pkgs)
 	if err != nil {
 		fmt.Fprintf(stderr, "simlint: %v\n", err)
 		return 2
 	}
-	if *verbose {
-		st := loader.Stats()
-		fmt.Fprintf(stderr, "simlint: loaded %d package(s) in %s (%d type-checks, %d files parsed; dependencies shared across all %d analyzers)\n",
-			len(pkgs), loadTime.Round(time.Millisecond), st.TypeChecks, st.ParsedFiles, len(analyzers))
-		fmt.Fprintf(stderr, "simlint: analyzed in %s\n", time.Since(analyzeStart).Round(time.Millisecond))
-	}
-	if *fix {
-		return applyFixes(loader.Fset, diags, *dryRun, stdout, stderr)
-	}
-	if *asJSON {
-		if err := writeJSON(stdout, diags); err != nil {
-			fmt.Fprintf(stderr, "simlint: %v\n", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
-	}
+	fmt.Fprint(stdout, analysis.FormatDiags(diags))
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "simlint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// applyFixes resolves the findings' suggested edits. In dry-run mode it
-// prints the unified diff and exits 1 if anything would change (the nightly
-// drift gate); otherwise it rewrites the files atomically and exits by the
-// count of findings that remain unfixable.
-func applyFixes(fset *token.FileSet, diags []analysis.Diagnostic, dryRun bool, stdout, stderr io.Writer) int {
-	fixed, err := analysis.ApplyFixes(fset, diags, os.ReadFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "simlint: %v\n", err)
-		return 2
-	}
-	unfixable := 0
-	for _, d := range diags {
-		if d.Fix == nil {
-			unfixable++
-			fmt.Fprintln(stdout, d)
-		}
-	}
-	if dryRun {
-		changed := 0
-		for _, name := range sortedKeys(fixed) {
-			before, err := os.ReadFile(name)
-			if err != nil {
-				fmt.Fprintf(stderr, "simlint: %v\n", err)
-				return 2
-			}
-			display := name
-			if wd, err := os.Getwd(); err == nil {
-				if rel, err := filepath.Rel(wd, name); err == nil && !strings.HasPrefix(rel, "..") {
-					display = rel
-				}
-			}
-			if diff := analysis.UnifiedDiff(display, before, fixed[name]); diff != "" {
-				fmt.Fprint(stdout, diff)
-				changed++
-			}
-		}
-		if changed > 0 {
-			fmt.Fprintf(stderr, "simlint: %d file(s) would be fixed (run -fix without -dry-run)\n", changed)
-			return 1
-		}
-		if unfixable > 0 {
-			fmt.Fprintf(stderr, "simlint: %d finding(s) with no suggested fix\n", unfixable)
-			return 1
-		}
-		return 0
-	}
-	if err := analysis.WriteFixes(fixed); err != nil {
-		fmt.Fprintf(stderr, "simlint: %v\n", err)
-		return 2
-	}
-	if len(fixed) > 0 {
-		fmt.Fprintf(stderr, "simlint: applied fixes to %d file(s)\n", len(fixed))
-	}
-	if unfixable > 0 {
-		fmt.Fprintf(stderr, "simlint: %d finding(s) remain with no suggested fix\n", unfixable)
-		return 1
-	}
-	return 0
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// jsonFinding is the machine-readable finding shape -json emits; the GitHub
-// Actions problem matcher consumes the plain-text format, tooling consumes
-// this one.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable"`
-}
-
-func writeJSON(w io.Writer, diags []analysis.Diagnostic) error {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-			Fixable:  d.Fix != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os/exec"
 	"strings"
 	"testing"
 )
@@ -35,17 +33,6 @@ func TestOnlyUnknown(t *testing.T) {
 	}
 }
 
-// TestDryRunRequiresFix: -dry-run without -fix is a usage error.
-func TestDryRunRequiresFix(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-dry-run"}, &out, &errOut); code != 2 {
-		t.Fatalf("-dry-run without -fix exited %d, want 2", code)
-	}
-	if !strings.Contains(errOut.String(), "-fix") {
-		t.Errorf("stderr %q does not point at -fix", errOut.String())
-	}
-}
-
 // TestCleanPackage: a package with no findings exits 0 and prints nothing.
 func TestCleanPackage(t *testing.T) {
 	var out, errOut strings.Builder
@@ -54,58 +41,5 @@ func TestCleanPackage(t *testing.T) {
 	}
 	if out.String() != "" {
 		t.Errorf("clean run printed findings:\n%s", out.String())
-	}
-}
-
-// TestJSONCleanPackage: -json always emits a well-formed array, empty on a
-// clean run, so tooling can consume the output unconditionally.
-func TestJSONCleanPackage(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-json", "-only", "obsnames", "repro/internal/obs"}, &out, &errOut); code != 0 {
-		t.Fatalf("clean -json run exited %d, stderr: %s", code, errOut.String())
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out.String()), &findings); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, out.String())
-	}
-	if len(findings) != 0 {
-		t.Errorf("clean run emitted %d findings", len(findings))
-	}
-}
-
-// TestFixDryRunClean: the nightly drift gate invocation — the suite over the
-// whole module proposes no fixes and exits 0.
-func TestFixDryRunClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	root, err := exec.Command("go", "list", "-m", "-f", "{{.Dir}}").Output()
-	if err != nil {
-		t.Fatalf("locate module root: %v", err)
-	}
-	t.Chdir(strings.TrimSpace(string(root)))
-	var out, errOut strings.Builder
-	if code := run([]string{"-fix", "-dry-run", "./..."}, &out, &errOut); code != 0 {
-		t.Fatalf("-fix -dry-run over ./... exited %d — a fix would apply:\n%s%s", code, out.String(), errOut.String())
-	}
-	if out.String() != "" {
-		t.Errorf("dry run printed a diff on a clean tree:\n%s", out.String())
-	}
-}
-
-// TestVerboseReportsTiming: -v writes load/analyze wall time and loader
-// statistics to stderr without disturbing stdout.
-func TestVerboseReportsTiming(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-v", "-only", "obsnames", "repro/internal/obs"}, &out, &errOut); code != 0 {
-		t.Fatalf("-v run exited %d, stderr: %s", code, errOut.String())
-	}
-	for _, want := range []string{"loaded 1 package(s)", "type-checks", "analyzed in"} {
-		if !strings.Contains(errOut.String(), want) {
-			t.Errorf("-v stderr missing %q:\n%s", want, errOut.String())
-		}
-	}
-	if out.String() != "" {
-		t.Errorf("-v leaked diagnostics onto stdout:\n%s", out.String())
 	}
 }

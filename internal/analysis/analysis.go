@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// shape (Analyzer, Pass, diagnostics, suggested fixes, an analysistest-style
-// harness) plus the eight repo-specific analyzers cmd/simlint runs.
+// shape (Analyzer, Pass, diagnostics, an analysistest-style harness) plus
+// the eight repo-specific analyzers cmd/simlint runs.
 //
 // Four are AST-level:
 //
@@ -37,8 +37,8 @@
 //     panic-terminated cold path.
 //   - errclass: module-local error results must not be silently dropped, and
 //     wrapping an error with %v (or .Error()) breaks errors.Is/As — and with
-//     it runner.IsTransient classification — so it is a finding with a
-//     suggested fix rewriting the verb to %w.
+//     it runner.IsTransient classification — so it is a finding whose
+//     message names the %w rewrite.
 //
 // Findings are suppressed with an annotated marker comment:
 //
@@ -114,13 +114,11 @@ type Pass struct {
 	diags []Diagnostic
 }
 
-// Diagnostic is one finding. Fix, when non-nil, is a machine-applicable
-// repair: cmd/simlint -fix applies it, -fix -dry-run previews it as a diff.
+// Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fix      *SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -133,16 +131,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFix records a finding at pos carrying a suggested repair.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
 }
 

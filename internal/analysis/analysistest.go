@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -54,53 +53,6 @@ func RunTest(t *testing.T, a *Analyzer, pkgPaths ...string) {
 		}
 		wants := collectWants(t, pkg)
 		matchWants(t, pkgPath, wants, diags)
-		checkGoldenFixed(t, pkg, diags)
-	}
-}
-
-// checkGoldenFixed replays the surviving findings' suggested fixes and
-// compares the result against <source>.golden.fixed files. Every source
-// file that receives an edit must have a golden (so repairs are pinned
-// byte-for-byte), and every golden must match exactly.
-func checkGoldenFixed(t *testing.T, pkg *Package, diags []Diagnostic) {
-	t.Helper()
-	fixed, err := ApplyFixes(pkg.Fset, diags, os.ReadFile)
-	if err != nil {
-		t.Fatalf("apply fixes for %s: %v", pkg.PkgPath, err)
-	}
-	checked := make(map[string]bool)
-	for _, f := range pkg.Files {
-		name := pkg.Fset.Position(f.Pos()).Filename
-		golden := name + ".golden.fixed"
-		want, err := os.ReadFile(golden)
-		if os.IsNotExist(err) {
-			checked[name] = true
-			if _, hasEdits := fixed[name]; hasEdits {
-				t.Errorf("%s: fixes were applied but no %s pins them", name, filepath.Base(golden))
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("read %s: %v", golden, err)
-		}
-		checked[name] = true
-		got, hasEdits := fixed[name]
-		if !hasEdits {
-			t.Errorf("%s exists but no finding suggested an edit for %s", filepath.Base(golden), name)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("fixed %s does not match %s:\n%s", name, filepath.Base(golden), UnifiedDiff(filepath.Base(golden), want, got))
-		}
-	}
-	for name := range fixed {
-		if !checked[name] {
-			// Edits may land in files the analyzer package didn't parse
-			// (should not happen for single-package fixtures).
-			if _, err := os.Stat(name + ".golden.fixed"); os.IsNotExist(err) {
-				t.Errorf("%s: fixes were applied but no golden pins them", name)
-			}
-		}
 	}
 }
 

@@ -1,17 +1,12 @@
 package analysis
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestSimlintClean runs the full eight-analyzer simlint suite over the whole
 // module — the same invocation CI's lint job performs — and fails on any
 // unannotated finding. Every intentional exception in the tree must carry a
-// reasoned //simlint:allow marker, so a clean run here is the invariant this
-// PR establishes and every later PR must preserve. The suite must also
-// propose zero fixes: `simlint -fix -dry-run ./...` (the nightly drift gate)
-// exits 0 exactly when this holds.
+// reasoned //simlint:allow marker, so a clean run here is an invariant every
+// change must preserve.
 func TestSimlintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -42,14 +37,5 @@ func TestSimlintClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Errorf("simlint is not clean over ./... — fix or annotate:\n%s", FormatDiags(diags))
-	}
-	fixed, err := ApplyFixes(loader.Fset, diags, os.ReadFile)
-	if err != nil {
-		t.Fatalf("apply fixes: %v", err)
-	}
-	if len(fixed) > 0 {
-		for name := range fixed {
-			t.Errorf("suite proposes fixes for %s; `go run ./cmd/simlint -fix ./...` would rewrite it", name)
-		}
 	}
 }

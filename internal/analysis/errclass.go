@@ -16,9 +16,8 @@ import (
 //     dropping them loses retry decisions, not just log lines.
 //  2. fmt.Errorf wrapping an error through %v or %s (or through
 //     err.Error()), which flattens the chain: errors.Is/As — and with them
-//     runner.IsTransient — can no longer see the cause. Both carry a
-//     suggested fix rewriting the verb to %w (and unwrapping the .Error()
-//     call), applied by `simlint -fix`.
+//     runner.IsTransient — can no longer see the cause. The message names
+//     the rewrite: the verb becomes %w (and the .Error() call goes).
 var Errclass = &Analyzer{
 	Name: "errclass",
 	Doc:  "dropped module-local error results, and %v/%s wrapping that breaks errors.Is/As",
@@ -85,7 +84,7 @@ func isErrorType(t types.Type) bool {
 }
 
 // checkErrorWrap flags fmt.Errorf calls that pass an error (or its
-// .Error() string) to a %v/%s verb, with a fix switching to %w.
+// .Error() string) to a %v/%s verb.
 func checkErrorWrap(pass *Pass, call *ast.CallExpr) {
 	f := funcObj(pass.Info, call)
 	if !isPkgFunc(f, "fmt", "Errorf") || len(call.Args) < 2 {
@@ -108,22 +107,12 @@ func checkErrorWrap(pass *Pass, call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[argIdx]
-		verbEdit := TextEdit{Pos: lit.Pos() + token.Pos(v.off), End: lit.Pos() + token.Pos(v.off+1), NewText: "w"}
 		tv := pass.Info.Types[arg]
 		switch {
 		case tv.Type != nil && !tv.IsNil() && isErrorType(tv.Type):
-			pass.ReportFix(arg.Pos(), &SuggestedFix{
-				Message: "wrap with %w instead",
-				Edits:   []TextEdit{verbEdit},
-			}, "error wrapped with %%%c flattens the chain: errors.Is/As (and runner.IsTransient) cannot see the cause; wrap with %%w", v.verb)
+			pass.Reportf(arg.Pos(), "error wrapped with %%%c flattens the chain: errors.Is/As (and runner.IsTransient) cannot see the cause; wrap with %%w", v.verb)
 		case isErrorStringCall(pass.Info, arg):
-			recv := ast.Unparen(arg).(*ast.CallExpr).Fun.(*ast.SelectorExpr).X
-			pass.ReportFix(arg.Pos(), &SuggestedFix{
-				Message: "wrap the error itself with %w",
-				Edits: []TextEdit{verbEdit, {
-					Pos: arg.Pos(), End: arg.End(), NewText: renderExpr(recv),
-				}},
-			}, "err.Error() wrapped with %%%c flattens the chain: errors.Is/As (and runner.IsTransient) cannot see the cause; wrap the error itself with %%w", v.verb)
+			pass.Reportf(arg.Pos(), "err.Error() wrapped with %%%c flattens the chain: errors.Is/As (and runner.IsTransient) cannot see the cause; wrap the error itself with %%w", v.verb)
 		}
 	}
 }
@@ -142,21 +131,18 @@ func isErrorStringCall(info *types.Info, e ast.Expr) bool {
 	return t != nil && isErrorType(t)
 }
 
-// fmtVerb is one argument-consuming verb in a format literal. off is the
-// byte offset of the verb character within the raw literal text (quotes
-// included), so a fix can surgically rewrite just that byte.
+// fmtVerb is one argument-consuming verb in a format literal: the verb
+// character and the index of the argument it consumes.
 type fmtVerb struct {
 	argIdx int
 	verb   byte
-	off    int
 }
 
-// parseFmtVerbs scans the raw source text of a format string literal.
-// Scanning source bytes (not the unquoted value) keeps offsets exact; '%'
-// cannot be produced by an escape sequence, so verbs align either way.
-// Dynamic widths (%*d) and explicit argument indexes (%[1]v) return
-// parseable=false — rewriting those safely needs more cleverness than a
-// one-byte edit.
+// parseFmtVerbs scans the raw source text of a format string literal, quotes
+// included. Dynamic widths (%*d) and explicit argument indexes (%[1]v)
+// return parseable=false: they change which argument a verb consumes, and
+// errclass skips such a format rather than pair a verb with the wrong
+// argument, so a %v wrap in one is not reported.
 func parseFmtVerbs(raw string) (verbs []fmtVerb, parseable bool) {
 	if len(raw) < 2 {
 		return nil, false
@@ -196,7 +182,7 @@ func parseFmtVerbs(raw string) (verbs []fmtVerb, parseable bool) {
 		if j >= len(body) {
 			break
 		}
-		verbs = append(verbs, fmtVerb{argIdx: arg, verb: body[j], off: 1 + j})
+		verbs = append(verbs, fmtVerb{argIdx: arg, verb: body[j]})
 		arg++
 		i = j
 	}

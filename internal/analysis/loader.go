@@ -42,9 +42,9 @@ type Loader struct {
 	stats LoaderStats
 }
 
-// LoaderStats counts the loader's expensive operations, so callers (-v
-// output, the caching regression tests) can see that dependency packages are
-// type-checked once per loader, not once per analyzer run or test.
+// LoaderStats counts the loader's expensive operations, so the caching
+// regression tests can see that dependency packages are type-checked once
+// per loader, not once per analyzer run or test.
 type LoaderStats struct {
 	// TypeChecks is the number of go/types Check invocations (dependency
 	// and target packages alike).

@@ -26,12 +26,12 @@ func Stdlib(w io.Writer) {
 	fmt.Fprintln(w, "x")
 }
 
-// Wrap flattens the chain through %v; the fix rewrites the verb to %w.
+// Wrap flattens the chain through %v; the finding names the %w rewrite.
 func Wrap(err error) error {
 	return fmt.Errorf("flush failed: %v", err) // want `error wrapped with %v flattens the chain`
 }
 
-// WrapString flattens harder: the fix unwraps the .Error() call too.
+// WrapString flattens harder: the finding asks to wrap the error itself.
 func WrapString(err error) error {
 	return fmt.Errorf("flush failed: %s", err.Error()) // want `err\.Error\(\) wrapped with %s flattens the chain`
 }

@@ -27,9 +27,8 @@ const (
 
 // Bit-layout constants.
 const (
-	addressBits  = 64
-	counterBits  = 4 // saturating successor/predecessor counters in the Task Table
-	elemsPerList = 8
+	addressBits = 64
+	counterBits = 4 // saturating successor/predecessor counters in the Task Table
 )
 
 // Entry reports one structure.

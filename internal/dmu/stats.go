@@ -127,9 +127,6 @@ func (d *DMU) Quiescent() bool {
 		d.ready.len() == 0
 }
 
-// DATOccupiedSets exposes the DAT's current occupied-set count (Figure 11).
-func (d *DMU) DATOccupiedSets() int { return d.dat.occupiedSets() }
-
 // DATAvgOccupiedSets exposes the DAT's average occupied-set count sampled at
 // every dependence insertion (Figure 11).
 func (d *DMU) DATAvgOccupiedSets() float64 { return d.dat.avgOccupiedSets() }

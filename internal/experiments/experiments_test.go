@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -406,6 +408,25 @@ func TestSharedPointsDeduplicate(t *testing.T) {
 	}
 	if got := opt.Cache.Len(); got != len(keys) {
 		t.Errorf("prewarm stored %d results, want %d distinct points", got, len(keys))
+	}
+}
+
+// TestPrewarmContextCancelled: a prewarm under a dead context simulates no
+// point and reports the cancellation cause.
+func TestPrewarmContextCancelled(t *testing.T) {
+	opt := testOptions()
+	jobs, err := pointsFig10(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cause := errors.New("shutdown")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	if err := PrewarmContext(ctx, opt, jobs); !errors.Is(err, cause) {
+		t.Fatalf("got %v, want the cancellation cause", err)
+	}
+	if n := opt.Cache.Len(); n != 0 {
+		t.Errorf("prewarm under a dead context cached %d points", n)
 	}
 }
 

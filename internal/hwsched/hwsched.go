@@ -6,7 +6,9 @@
 //     stays in software.
 //   - Task Superscalar (Etsion et al., MICRO 2010): a single hardware ready
 //     queue fed directly by the hardware dependence-tracking pipeline; both
-//     dependence management and scheduling are fixed in hardware.
+//     dependence management and scheduling are fixed in hardware. The
+//     backend models that queue with the DMU's ready queue, so this package
+//     holds only its counters (GlobalStats).
 //
 // Both structures store task descriptor addresses only; the scheduling policy
 // cannot be changed by software, which is exactly the flexibility limitation
@@ -132,56 +134,8 @@ type CarbonStats struct {
 	MaxQueued int
 }
 
-// GlobalQueue is a single hardware FIFO, the ready queue of the Task
-// Superscalar pipeline.
-type GlobalQueue struct {
-	buf      fifo.Queue[Entry]
-	capacity int
-
-	enqueues  uint64
-	dequeues  uint64
-	overflows uint64
-	maxQueued int
-}
-
-// NewGlobalQueue builds a bounded global hardware FIFO.
-func NewGlobalQueue(capacity int) *GlobalQueue {
-	if capacity < 1 {
-		panic(fmt.Sprintf("hwsched: invalid global queue capacity %d", capacity))
-	}
-	return &GlobalQueue{capacity: capacity}
-}
-
-// Enqueue appends an entry, reporting false on overflow.
-func (g *GlobalQueue) Enqueue(e Entry) bool {
-	if g.buf.Len() >= g.capacity {
-		g.overflows++
-		return false
-	}
-	g.enqueues++
-	g.buf.Push(e)
-	g.maxQueued = max(g.maxQueued, g.buf.Len())
-	return true
-}
-
-// Dequeue pops the oldest entry.
-func (g *GlobalQueue) Dequeue() (Entry, bool) {
-	if g.buf.Len() == 0 {
-		return Entry{}, false
-	}
-	g.dequeues++
-	return g.buf.Pop(), true
-}
-
-// Len returns the number of queued entries.
-func (g *GlobalQueue) Len() int { return g.buf.Len() }
-
-// Stats reports activity counters.
-func (g *GlobalQueue) Stats() GlobalStats {
-	return GlobalStats{Enqueues: g.enqueues, Dequeues: g.dequeues, Overflows: g.overflows, MaxQueued: g.maxQueued}
-}
-
-// GlobalStats are activity counters of the global queue.
+// GlobalStats are activity counters of the Task Superscalar pipeline's
+// global ready queue, filled by the Task Superscalar backend.
 type GlobalStats struct {
 	Enqueues  uint64
 	Dequeues  uint64

@@ -77,35 +77,6 @@ func TestCarbonInvalidConfigPanics(t *testing.T) {
 	NewCarbonQueues(0, 4)
 }
 
-func TestGlobalQueueFIFO(t *testing.T) {
-	g := NewGlobalQueue(8)
-	for i := uint64(0); i < 5; i++ {
-		if !g.Enqueue(Entry{DescAddr: i, NumSuccs: int(i)}) {
-			t.Fatalf("enqueue %d failed", i)
-		}
-	}
-	for i := uint64(0); i < 5; i++ {
-		e, ok := g.Dequeue()
-		if !ok || e.DescAddr != i || e.NumSuccs != int(i) {
-			t.Fatalf("dequeue %d = (%v,%v)", i, e, ok)
-		}
-	}
-	if _, ok := g.Dequeue(); ok {
-		t.Fatal("dequeue from empty global queue succeeded")
-	}
-}
-
-func TestGlobalQueueOverflow(t *testing.T) {
-	g := NewGlobalQueue(1)
-	g.Enqueue(Entry{})
-	if g.Enqueue(Entry{}) {
-		t.Fatal("overflow enqueue succeeded")
-	}
-	if g.Stats().Overflows != 1 || g.Stats().MaxQueued != 1 {
-		t.Fatalf("stats = %+v", g.Stats())
-	}
-}
-
 // Property: Carbon queues conserve tasks regardless of the enqueue/dequeue
 // core pattern.
 func TestPropertyCarbonConservation(t *testing.T) {

@@ -608,6 +608,23 @@ func TestRunAllContextPreCancelled(t *testing.T) {
 	}
 }
 
+// TestJobRunContextPreCancelled: a generated job (no program, no memo) run
+// under a dead context reports the cancellation cause instead of a result.
+// POST /execute and an un-memoized Engine.RunContext both take this path.
+func TestJobRunContextPreCancelled(t *testing.T) {
+	cause := errors.New("drain")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	j := Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO}
+	res, err := j.RunContext(ctx, testBase())
+	if !errors.Is(err, cause) {
+		t.Fatalf("got %v, want an error wrapping the cancellation cause", err)
+	}
+	if res != nil {
+		t.Error("a dead context returned a result")
+	}
+}
+
 func TestReplayJobs(t *testing.T) {
 	base := testBase()
 	prog, err := synth.Generate("synth:stencil:width=4,depth=3,mean=10", base.Machine)

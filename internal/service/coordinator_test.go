@@ -386,18 +386,25 @@ func TestWorkerRegistrationEndpoint(t *testing.T) {
 			return nil, errors.New("unused")
 		})
 	}
-	for _, bad := range []string{
-		`{"url":"not-a-url"}`,
-		`{"url":"ftp://nope"}`,
-		`{"url":""}`,
-		`{"url":"http://w1","slots":-1}`,
-		`{"url":"http://w1","slots":100000}`,
-		`{"url":"http://w1","bogus":true}`,
-		`not json`,
+	// Each refusal wears the error envelope, not only the status.
+	for _, bad := range []struct{ body, code string }{
+		{`{"url":"not-a-url"}`, CodeInvalidWorker},
+		{`{"url":"ftp://nope"}`, CodeInvalidWorker},
+		{`{"url":""}`, CodeInvalidWorker},
+		{`{"url":"http://w1","slots":-1}`, CodeInvalidWorker},
+		{`{"url":"http://w1","slots":100000}`, CodeInvalidWorker},
+		{`{"url":"http://w1","bogus":true}`, CodeInvalidBody},
+		{`not json`, CodeInvalidBody},
 	} {
-		resp := put(bad)
+		resp := put(bad.body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("registration %q = %d, want 400", bad, resp.StatusCode)
+			t.Errorf("registration %q = %d, want 400", bad.body, resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("registration %q: content type = %q, want application/json", bad.body, ct)
+		}
+		if er := decode[ErrorResponse](t, resp.Body); er.Code != bad.code {
+			t.Errorf("registration %q: code = %q, want %q", bad.body, er.Code, bad.code)
 		}
 		resp.Body.Close()
 	}

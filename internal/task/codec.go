@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 )
@@ -163,25 +162,6 @@ func parseDir(s string) (Dir, error) {
 	default:
 		return 0, fmt.Errorf("unknown dependence direction %q (want in, out or inout)", s)
 	}
-}
-
-// WriteProgram serializes the program to the writer.
-func WriteProgram(w io.Writer, p *Program) error {
-	data, err := MarshalProgram(p)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// ReadProgram decodes a program from the reader.
-func ReadProgram(r io.Reader) (*Program, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("task: read program: %w", err)
-	}
-	return UnmarshalProgram(data)
 }
 
 // WriteProgramFile serializes the program to a file.

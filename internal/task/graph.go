@@ -262,7 +262,6 @@ type OrderValidator struct {
 	finished   []bool // by task index in the graph
 	done       int    // number of true entries in finished
 	violations []string
-	started    int
 }
 
 // NewOrderValidator creates a validator for the graph.
@@ -272,7 +271,6 @@ func NewOrderValidator(g *Graph) *OrderValidator {
 
 // Start records that a task began executing and validates its predecessors.
 func (v *OrderValidator) Start(id ID) {
-	v.started++
 	for _, p := range v.graph.Preds(id) {
 		if !v.finished[v.graph.index(p)] {
 			v.violations = append(v.violations,
@@ -292,9 +290,6 @@ func (v *OrderValidator) Finish(id ID) {
 
 // Violations returns all recorded ordering violations.
 func (v *OrderValidator) Violations() []string { return v.violations }
-
-// Started returns how many task starts have been observed.
-func (v *OrderValidator) Started() int { return v.started }
 
 // AllFinished reports whether every task in the graph has finished.
 func (v *OrderValidator) AllFinished() bool {
