@@ -5,8 +5,10 @@
 //
 // Each input holds several runs of each benchmark (scripts/bench_ab.sh makes
 // five per side); names lose their -GOMAXPROCS suffix and only ns/op counts.
-// Per benchmark perf prints both medians, the change, and U: in how many
-// (base run, head run) pairs the base run was slower, ties counting half.
+// Per benchmark perf prints both medians, the change, the spread of the base
+// runs ((max − min) / median, which shows when a change lies within the
+// base's own run-to-run spread; it does not enter the verdict) and U: in how
+// many (base run, head run) pairs the base run was slower, ties counting half.
 // A benchmark regresses when its median slows by more than 15% and the runs
 // separate: a one-sided Mann–Whitney test finds a U that small with at most 5%
 // chance between two samples of one distribution (U <= 4 of 25 pairs at 5 runs
@@ -71,13 +73,16 @@ func run(w io.Writer, basePath, headPath string) int {
 		}
 	}
 	rows := compare(sides[0], sides[1])
-	fmt.Fprintf(w, "%-50s %14s %14s %8s %7s  %s\n", "benchmark", "base ns/op", "head ns/op", "delta", "U/pairs", "status")
+	fmt.Fprintf(w, "%-50s %14s %14s %8s %11s %7s  %s\n", "benchmark", "base ns/op", "head ns/op", "delta", "base spread", "U/pairs", "status")
 	for _, r := range rows {
-		delta, pairs := "-", "-" // no ratio; a side without runs prints median 0
+		delta, spread, pairs := "-", "-", "-" // no ratio; a side without runs prints median 0
 		if r.status != onlyBase && r.status != onlyHead && r.status != noBaseline {
 			delta, pairs = fmt.Sprintf("%+.1f%%", (r.head/r.base-1)*100), fmt.Sprintf("%g/%d", r.u, r.pairs)
 		}
-		fmt.Fprintf(w, "%-50s %14.1f %14.1f %8s %7s  %s\n", r.name, r.base, r.head, delta, pairs, r.status)
+		if r.base > 0 {
+			spread = fmt.Sprintf("%.1f%%", r.spread*100)
+		}
+		fmt.Fprintf(w, "%-50s %14.1f %14.1f %8s %11s %7s  %s\n", r.name, r.base, r.head, delta, spread, pairs, r.status)
 		if r.status == regression {
 			bad = append(bad, fmt.Sprintf("%s slowed by more than %.0f%% with separated runs", r.name, threshold*100))
 		}
@@ -139,6 +144,7 @@ func parse(r io.Reader) (runs, []string, error) {
 type row struct {
 	name       string
 	base, head float64 // median ns/op, 0 for a side without runs
+	spread     float64 // (max − min) / median of the base runs, 0 without a base median
 	u          float64 // (base, head) run pairs with the base run slower, ties counting half
 	pairs      int
 	status     string
@@ -152,6 +158,9 @@ func compare(base, head runs) []row {
 	for _, name := range slices.Compact(names) {
 		b, h := base[name], head[name]
 		r := row{name: name, base: median(b), head: median(h), pairs: len(b) * len(h), status: steady}
+		if r.base > 0 {
+			r.spread = (slices.Max(b) - slices.Min(b)) / r.base
+		}
 		for _, x := range b {
 			for _, y := range h {
 				if x > y {

@@ -159,6 +159,46 @@ func TestGateSeparatesNoiseFromSlowdown(t *testing.T) {
 	}
 }
 
+// TestReportShowsBaseSpread: each row shows the base runs' (max − min) /
+// median, and "-" where the base has no median. The spread does not enter
+// the verdict: a +23.9% change whose runs separate fails however widely the
+// base runs spread.
+func TestReportShowsBaseSpread(t *testing.T) {
+	base := runs{"wide": {677, 700, 850, 900, 1051}, "tight": five(100)}
+	head := runs{"wide": {1000, 1030, 1053, 1060, 1100}, "tight": five(100), "new": five(5)}
+	rows := compare(base, head)
+	for _, r := range rows {
+		want := map[string]float64{"wide": (1051.0 - 677) / 850, "tight": 0.04, "new": 0}[r.name]
+		if math.Abs(r.spread-want) > 1e-9 {
+			t.Errorf("%s: spread = %v, want %v", r.name, r.spread, want)
+		}
+	}
+	if got := statuses(rows)["wide"]; got != regression {
+		t.Errorf("wide: status %s, want %s", got, regression)
+	}
+	var text [2]string
+	for i, side := range []runs{base, head} {
+		for _, name := range []string{"wide", "tight", "new"} {
+			for _, ns := range side[name] {
+				text[i] += fmt.Sprintf("Benchmark%s-2 \t 10 \t %g ns/op\n", name, ns)
+			}
+		}
+	}
+	out, code := runFiles(t, text[0], text[1])
+	if code != 1 {
+		t.Errorf("exit %d, want 1 for the separated +23.9%% change", code)
+	}
+	for name, cols := range map[string]string{
+		"Benchmarkwide":  "+23.9%       44.0%    2/25  REGRESSION",
+		"Benchmarktight": "+0.0%        4.0% 12.5/25  ok",
+		"Benchmarknew":   "-           -       -  only-head",
+	} {
+		if !strings.Contains(out, cols) {
+			t.Errorf("%s: report lacks %q:\n%s", name, cols, out)
+		}
+	}
+}
+
 // runFiles writes base and head outputs to files and runs the comparison.
 func runFiles(t *testing.T, base, head string) (string, int) {
 	t.Helper()

@@ -20,6 +20,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/dmu"
+	"repro/internal/stats"
 	"repro/internal/task"
 	"repro/internal/taskrt"
 )
@@ -38,6 +40,20 @@ var goldenPrograms = []string{
 	"tree.golden.json",
 }
 
+// smallDMU is a DMU small enough that blockdense, forkjoin, layered and
+// stencil fill it, so their runs exercise the creation-side stall:
+// create_task or add_dependence finds no space and the master runs ready
+// tasks or waits for capacity. The default DMU never fills on the golden
+// programs.
+func smallDMU() dmu.Config {
+	c := dmu.DefaultConfig()
+	c.TATEntries, c.TATAssoc = 8, 4
+	c.DATEntries, c.DATAssoc = 16, 4
+	c.SLAEntries, c.DLAEntries, c.RLAEntries = 8, 8, 8
+	c.ReadyQueueEntries = 8
+	return c
+}
+
 func TestGoldenCycles(t *testing.T) {
 	got := make(map[string]int64)
 	for _, file := range goldenPrograms {
@@ -52,6 +68,20 @@ func TestGoldenCycles(t *testing.T) {
 				t.Fatalf("%s on %s: %v", file, kind, err)
 			}
 			got[fmt.Sprintf("%s/%s", file, kind)] = res.Cycles
+		}
+		// On the small DMU, pin the master's DEPS cycles too: the
+		// stall is accounted to DEPS, and accounting it to another
+		// phase would leave the run's cycles unchanged.
+		for _, kind := range []taskrt.Kind{TDM, TaskSuperscalar} {
+			cfg := DefaultConfig(kind)
+			cfg.DMU = smallDMU()
+			res, err := Run(prog, cfg)
+			if err != nil {
+				t.Fatalf("%s on %s with a small DMU: %v", file, kind, err)
+			}
+			key := fmt.Sprintf("%s/%s/small-dmu", file, kind)
+			got[key] = res.Cycles
+			got[key+"/master-deps"] = res.Master.Get(stats.Deps)
 		}
 	}
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -408,6 +410,38 @@ func TestSharedPointsDeduplicate(t *testing.T) {
 	}
 	if got := opt.Cache.Len(); got != len(keys) {
 		t.Errorf("prewarm stored %d results, want %d distinct points", got, len(keys))
+	}
+}
+
+// TestJobKeysPinned pins the content-addressed key of every point the
+// paper's experiments enumerate: the job count, the distinct-key count and a
+// SHA-256 over the keys in job order, each followed by a newline. A change to
+// how jobs describe their configuration must leave every key as it was, or
+// every disk store written before it goes cold.
+func TestJobKeysPinned(t *testing.T) {
+	opt := DefaultOptions()
+	jobs, err := JobsFor(opt, All()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := opt.engine()
+	distinct := make(map[string]bool)
+	h := sha256.New()
+	for _, j := range jobs {
+		k := eng.Key(j)
+		distinct[k] = true
+		fmt.Fprintln(h, k)
+	}
+	const (
+		wantJobs   = 436
+		wantKeys   = 297
+		wantDigest = "12811ebb1897bb8ae008b3475fdcfde29da4ffa1b8dc60324104f671b3b924c3"
+	)
+	if len(jobs) != wantJobs || len(distinct) != wantKeys {
+		t.Errorf("got %d jobs with %d distinct keys, want %d with %d", len(jobs), len(distinct), wantJobs, wantKeys)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest {
+		t.Errorf("key digest = %s, want %s", got, wantDigest)
 	}
 }
 

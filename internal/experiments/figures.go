@@ -54,72 +54,69 @@ func fig6Job(b *workloads.Benchmark, gran int64) runner.Job {
 		Granularity: gran, Label: fmt.Sprintf("gran=%d", gran)}
 }
 
-// fig7EnlargeLists removes list-array pressure so Figures 7 isolates the
+// dmuJob is a TDM/FIFO run of a benchmark on the DMU d (Figures 7, 8, 9
+// and 11).
+func dmuJob(b *workloads.Benchmark, label string, d dmu.Config) runner.Job {
+	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO, Label: label, DMU: &d}
+}
+
+// fig7EnlargeLists removes list-array pressure so Figure 7 isolates the
 // alias tables.
-func fig7EnlargeLists(cfg *core.Config) {
-	cfg.DMU.SLAEntries, cfg.DMU.DLAEntries, cfg.DMU.RLAEntries = 16384, 16384, 16384
+func fig7EnlargeLists(d dmu.Config) dmu.Config {
+	d.SLAEntries, d.DLAEntries, d.RLAEntries = 16384, 16384, 16384
+	return d
 }
 
 // fig7IdealJob is the idealized DMU with effectively unlimited alias entries
 // that Figure 7 normalizes against.
-func fig7IdealJob(b *workloads.Benchmark) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: "ideal-alias", Mutate: func(cfg *core.Config) {
-			fig7EnlargeLists(cfg)
-			cfg.DMU.TATEntries, cfg.DMU.DATEntries = 32768, 32768
-			cfg.DMU.ReadyQueueEntries = 32768
-		}}
+func fig7IdealJob(opt Options, b *workloads.Benchmark) runner.Job {
+	d := fig7EnlargeLists(opt.DMU)
+	d.TATEntries, d.DATEntries = 32768, 32768
+	d.ReadyQueueEntries = 32768
+	return dmuJob(b, "ideal-alias", d)
 }
 
 // fig7SizeJob is one TAT/DAT sizing point of the Figure 7 sweep.
-func fig7SizeJob(b *workloads.Benchmark, tat, dat int) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: fmt.Sprintf("tat=%d dat=%d", tat, dat), Mutate: func(cfg *core.Config) {
-			fig7EnlargeLists(cfg)
-			cfg.DMU.TATEntries, cfg.DMU.DATEntries = tat, dat
-			cfg.DMU.ReadyQueueEntries = tat
-		}}
+func fig7SizeJob(opt Options, b *workloads.Benchmark, tat, dat int) runner.Job {
+	d := fig7EnlargeLists(opt.DMU)
+	d.TATEntries, d.DATEntries = tat, dat
+	d.ReadyQueueEntries = tat
+	return dmuJob(b, fmt.Sprintf("tat=%d dat=%d", tat, dat), d)
 }
 
 // fig8IdealJob is the idealized DMU with effectively unlimited list arrays
 // that Figure 8 normalizes against.
-func fig8IdealJob(b *workloads.Benchmark) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: "ideal-lists", Mutate: fig7EnlargeLists}
+func fig8IdealJob(opt Options, b *workloads.Benchmark) runner.Job {
+	return dmuJob(b, "ideal-lists", fig7EnlargeLists(opt.DMU))
 }
 
 // fig8SizeJob is one list-array sizing point of the Figure 8 sweep.
-func fig8SizeJob(b *workloads.Benchmark, size int) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: fmt.Sprintf("la=%d", size), Mutate: func(cfg *core.Config) {
-			cfg.DMU.SLAEntries, cfg.DMU.DLAEntries, cfg.DMU.RLAEntries = size, size, size
-		}}
+func fig8SizeJob(opt Options, b *workloads.Benchmark, size int) runner.Job {
+	d := opt.DMU
+	d.SLAEntries, d.DLAEntries, d.RLAEntries = size, size, size
+	return dmuJob(b, fmt.Sprintf("la=%d", size), d)
 }
 
 // fig9LatJob is one DMU access-latency point of the Figure 9 sweep
 // (latency 0 is the normalization baseline).
-func fig9LatJob(b *workloads.Benchmark, lat int) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: fmt.Sprintf("lat=%d", lat), Mutate: func(cfg *core.Config) {
-			cfg.DMU.AccessLatency = lat
-		}}
+func fig9LatJob(opt Options, b *workloads.Benchmark, lat int) runner.Job {
+	d := opt.DMU
+	d.AccessLatency = lat
+	return dmuJob(b, fmt.Sprintf("lat=%d", lat), d)
 }
 
 // fig11StaticJob is a TDM run with a static DAT index-bit selection.
-func fig11StaticJob(b *workloads.Benchmark, bit uint) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Label: fmt.Sprintf("index=static%d", bit), Mutate: func(cfg *core.Config) {
-			cfg.DMU.DATIndex = dmu.StaticIndex(bit)
-		}}
+func fig11StaticJob(opt Options, b *workloads.Benchmark, bit uint) runner.Job {
+	d := opt.DMU
+	d.DATIndex = dmu.StaticIndex(bit)
+	return dmuJob(b, fmt.Sprintf("index=static%d", bit), d)
 }
 
 // extraCoreJob is the software runtime with one core added to the base
 // machine (Section VI-C).
-func extraCoreJob(b *workloads.Benchmark) runner.Job {
+func extraCoreJob(opt Options, b *workloads.Benchmark) runner.Job {
 	return runner.Job{Benchmark: b.Name, Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Label: "extra-core", Mutate: func(cfg *core.Config) {
-			cfg.Machine = cfg.Machine.WithCores(cfg.Machine.Cores + 1)
-		}}
+		Cores: opt.Machine.Cores + 1, Label: "extra-core"}
 }
 
 // Fig2Breakdown reproduces Figure 2: the execution-time breakdown
@@ -223,14 +220,14 @@ func Fig7AliasSizing(opt Options) ([]*stats.Table, error) {
 		if !aliasSensitiveBenchmarks[b.Name] {
 			continue
 		}
-		ideal, err := opt.run(fig7IdealJob(b))
+		ideal, err := opt.run(fig7IdealJob(opt, b))
 		if err != nil {
 			return nil, err
 		}
 		for _, tat := range sizes {
 			row := []any{b.Short, tat}
 			for _, dat := range sizes {
-				res, err := opt.run(fig7SizeJob(b, tat, dat))
+				res, err := opt.run(fig7SizeJob(opt, b, tat, dat))
 				if err != nil {
 					return nil, err
 				}
@@ -268,13 +265,13 @@ func Fig8ListArrays(opt Options) ([]*stats.Table, error) {
 		if !aliasSensitiveBenchmarks[b.Name] {
 			continue
 		}
-		ideal, err := opt.run(fig8IdealJob(b))
+		ideal, err := opt.run(fig8IdealJob(opt, b))
 		if err != nil {
 			return nil, err
 		}
 		row := []any{b.Short}
 		for _, size := range sizes {
-			res, err := opt.run(fig8SizeJob(b, size))
+			res, err := opt.run(fig8SizeJob(opt, b, size))
 			if err != nil {
 				return nil, err
 			}
@@ -305,13 +302,13 @@ func Fig9Latency(opt Options) ([]*stats.Table, error) {
 		append([]string{"benchmark"}, sizeColumns("lat", latencies)...)...)
 	perLat := make(map[int][]float64)
 	for _, b := range benches {
-		ideal, err := opt.run(fig9LatJob(b, 0))
+		ideal, err := opt.run(fig9LatJob(opt, b, 0))
 		if err != nil {
 			return nil, err
 		}
 		row := []any{b.Short}
 		for _, lat := range latencies {
-			res, err := opt.run(fig9LatJob(b, lat))
+			res, err := opt.run(fig9LatJob(opt, b, lat))
 			if err != nil {
 				return nil, err
 			}
@@ -383,7 +380,7 @@ func Fig11IndexBits(opt Options) ([]*stats.Table, error) {
 		}
 		row := []any{b.Short}
 		for _, bit := range staticBits {
-			res, err := opt.run(fig11StaticJob(b, bit))
+			res, err := opt.run(fig11StaticJob(opt, b, bit))
 			if err != nil {
 				return nil, err
 			}

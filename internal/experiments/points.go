@@ -53,10 +53,10 @@ func pointsFig7(opt Options) ([]runner.Job, error) {
 		if !aliasSensitiveBenchmarks[b.Name] {
 			continue
 		}
-		jobs = append(jobs, fig7IdealJob(b))
+		jobs = append(jobs, fig7IdealJob(opt, b))
 		for _, tat := range sizes {
 			for _, dat := range sizes {
-				jobs = append(jobs, fig7SizeJob(b, tat, dat))
+				jobs = append(jobs, fig7SizeJob(opt, b, tat, dat))
 			}
 		}
 	}
@@ -74,9 +74,9 @@ func pointsFig8(opt Options) ([]runner.Job, error) {
 		if !aliasSensitiveBenchmarks[b.Name] {
 			continue
 		}
-		jobs = append(jobs, fig8IdealJob(b))
+		jobs = append(jobs, fig8IdealJob(opt, b))
 		for _, size := range sizes {
-			jobs = append(jobs, fig8SizeJob(b, size))
+			jobs = append(jobs, fig8SizeJob(opt, b, size))
 		}
 	}
 	return jobs, nil
@@ -90,7 +90,7 @@ func pointsFig9(opt Options) ([]runner.Job, error) {
 	var jobs []runner.Job
 	for _, b := range benches {
 		for _, lat := range append([]int{0}, fig9Latencies...) {
-			jobs = append(jobs, fig9LatJob(b, lat))
+			jobs = append(jobs, fig9LatJob(opt, b, lat))
 		}
 	}
 	return jobs, nil
@@ -121,7 +121,7 @@ func pointsFig11(opt Options) ([]runner.Job, error) {
 			continue
 		}
 		for _, bit := range fig11StaticBits {
-			jobs = append(jobs, fig11StaticJob(b, bit))
+			jobs = append(jobs, fig11StaticJob(opt, b, bit))
 		}
 		jobs = append(jobs, baseJob(b, taskrt.TDM, sched.FIFO))
 	}
@@ -172,7 +172,7 @@ func pointsExtraCore(opt Options) ([]runner.Job, error) {
 	for _, b := range benches {
 		jobs = append(jobs,
 			baseJob(b, taskrt.Software, sched.FIFO),
-			extraCoreJob(b),
+			extraCoreJob(opt, b),
 			baseJob(b, taskrt.TDM, sched.FIFO))
 	}
 	return jobs, nil

@@ -84,7 +84,7 @@ func ExtraCore(opt Options) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		extra, err := opt.run(extraCoreJob(b))
+		extra, err := opt.run(extraCoreJob(opt, b))
 		if err != nil {
 			return nil, err
 		}

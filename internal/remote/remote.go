@@ -5,7 +5,7 @@
 // Executor implements runner.Executor against one node's POST /execute, so
 // a coordinator registers it as one worker of its fleet, next to its own
 // engine, the in-process runner.Executor. Jobs travel as service.EncodeJob
-// writes them: grid coordinates only, since a Mutate closure or a replay
+// writes them: grid coordinates only, since a DMU override or a replay
 // program cannot cross the wire. Results travel as core.Result JSON, a few
 // kilobytes without the program; a decoded result counts only when
 // core.Result.Complete holds, and unknown fields (the program older workers

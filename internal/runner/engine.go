@@ -98,12 +98,12 @@ func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
 		return nil, context.Cause(ctx)
 	}
 	defer func() { <-e.slots }()
-	e.logf("running %-14s %-16s sched=%-9s %s", j.Benchmark, j.Runtime, j.Scheduler, j.Label)
 	var start time.Time
 	if e.Metrics != nil {
 		start = time.Now()
 		e.Metrics.Execs.Inc()
 	}
+	e.logf("running %-14s %-16s sched=%-9s %s", j.Benchmark, j.Runtime, j.Scheduler, j.Label)
 	if m, ok := ctx.Value(programsKey{}).(*programMemo); ok {
 		j = m.fill(j, e.Base)
 	}

@@ -7,10 +7,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/taskrt"
@@ -41,21 +41,17 @@ func TestEngineExecuteMatchesRun(t *testing.T) {
 // Execute waits for the first's execution slot and gives up with its
 // context's cause, never starting a simulation.
 func TestEngineExecuteBoundsWorkers(t *testing.T) {
-	e := &Engine{Base: testBase(), Workers: 1, Metrics: NewEngineMetrics(obs.NewRegistry())}
-	started, release := make(chan struct{}), make(chan struct{})
-	// Mutate runs inside the simulation, after the slot is taken, so it
-	// holds the slot until released.
-	long := Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Mutate: func(*core.Config) {
-			close(started)
-			<-release
-		}}
+	// Execute logs its progress line once it holds the slot, so the first
+	// execution holds the slot until the log writer is released.
+	log := &blockingWriter{started: make(chan struct{}), release: make(chan struct{})}
+	e := &Engine{Base: testBase(), Workers: 1, Log: log, Metrics: NewEngineMetrics(obs.NewRegistry())}
+	long := Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO}
 	first := make(chan error, 1)
 	go func() {
 		_, err := e.Execute(context.Background(), long)
 		first <- err
 	}()
-	<-started
+	<-log.started
 
 	cause := errors.New("gave up waiting for a slot")
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -68,7 +64,7 @@ func TestEngineExecuteBoundsWorkers(t *testing.T) {
 		t.Errorf("runner_execs_total = %v while one slot was held, want 1", n)
 	}
 
-	close(release)
+	close(log.release)
 	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +75,20 @@ func TestEngineExecuteBoundsWorkers(t *testing.T) {
 	if n := e.Metrics.Execs.Value(); n != 2 {
 		t.Errorf("runner_execs_total = %v after two executions, want 2", n)
 	}
+}
+
+// blockingWriter holds its first Write until release is closed.
+type blockingWriter struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() {
+		close(w.started)
+		<-w.release
+	})
+	return len(p), nil
 }
 
 func TestTransientErrorClassification(t *testing.T) {

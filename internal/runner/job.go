@@ -1,8 +1,8 @@
 // Package runner executes sweeps of simulation points concurrently.
 //
-// A Job names one simulation point: a benchmark executed under a runtime
-// system, a scheduling policy and a (possibly mutated) configuration. Jobs
-// are content-addressed: a job's key is a cryptographic digest of the
+// A Job names one simulation point, as plain data: a benchmark executed
+// under a runtime system, a scheduling policy and a configuration. Jobs are
+// content-addressed: a job's key is a cryptographic digest of the
 // benchmark, the granularity and the canonical JSON encoding of the fully
 // resolved core.Config, so two jobs that would simulate the same system are
 // identical by construction — no hand-maintained cache-key discipline is
@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/dmu"
 	"repro/internal/task"
 	"repro/internal/taskrt"
 )
@@ -45,9 +46,8 @@ type Job struct {
 	// Label is a human-readable tag for progress logs. It does not
 	// contribute to the job key.
 	Label string
-	// Mutate optionally customizes the resolved configuration. It must be
-	// deterministic: the job key is derived from the mutated config.
-	Mutate func(*core.Config)
+	// DMU, when non-nil, replaces the base configuration's DMU.
+	DMU *dmu.Config
 	// Program optionally supplies a pre-built program (record/replay
 	// sweeps, see task.ReadProgramFile). When non-nil it is executed
 	// directly: Benchmark becomes a display label only and Granularity is
@@ -67,8 +67,8 @@ func (j Job) Config(base core.Config) core.Config {
 	if j.Cores > 0 {
 		cfg.Machine = cfg.Machine.WithCores(j.Cores)
 	}
-	if j.Mutate != nil {
-		j.Mutate(&cfg)
+	if j.DMU != nil {
+		cfg.DMU = *j.DMU
 	}
 	return cfg
 }

@@ -38,8 +38,7 @@ func TestRunAllGeneratesEachProgramOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fewerCores := runner.Job{Benchmark: "cholesky", Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-		Mutate: func(cfg *core.Config) { cfg.Machine.Cores = 16 }}
+	fewerCores := runner.Job{Benchmark: "cholesky", Runtime: taskrt.TDM, Scheduler: sched.FIFO, Cores: 16}
 	eng := &runner.Engine{Base: core.DefaultConfig(taskrt.Software)}
 	results, programs, err := eng.RunAllCountingPrograms(append(jobs, fewerCores))
 	if err != nil {

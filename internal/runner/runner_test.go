@@ -51,25 +51,27 @@ func TestJobKeyContentAddressing(t *testing.T) {
 	if labeled.Key(base) != j.Key(base) {
 		t.Error("label must not contribute to the key")
 	}
+	slowDMU := base.DMU
+	slowDMU.AccessLatency = 4
 	distinct := map[string]Job{
 		"scheduler":   {Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.LIFO},
 		"runtime":     {Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO},
 		"benchmark":   {Benchmark: "cholesky", Runtime: taskrt.TDM, Scheduler: sched.FIFO},
 		"cores":       {Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO, Cores: 16},
 		"granularity": {Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO, Granularity: 64},
-		"mutation": {Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO,
-			Mutate: func(cfg *core.Config) { cfg.DMU.AccessLatency = 4 }},
+		"dmu":         {Benchmark: "histogram", Runtime: taskrt.TDM, Scheduler: sched.FIFO, DMU: &slowDMU},
 	}
 	for dim, other := range distinct {
 		if other.Key(base) == j.Key(base) {
 			t.Errorf("changing %s did not change the key", dim)
 		}
 	}
-	// A mutation that resolves to the same config must share the key.
+	// A DMU override equal to the base DMU resolves to the same config and
+	// must share the key.
 	same := j
-	same.Mutate = func(cfg *core.Config) { lat := cfg.DMU.AccessLatency; cfg.DMU.AccessLatency = lat }
+	same.DMU = &base.DMU
 	if same.Key(base) != j.Key(base) {
-		t.Error("no-op mutation changed the key")
+		t.Error("a DMU override equal to the base DMU changed the key")
 	}
 	// So must the Table II optimal granularity given explicitly (as Fig. 6
 	// enumerates it), for software and TDM runs alike.

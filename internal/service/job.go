@@ -27,15 +27,14 @@ type wireJob struct {
 	Label       string `json:"label,omitempty"`
 }
 
-// EncodeJob serializes a grid point for POST /execute. A job carrying a
-// Mutate closure (arbitrary Go code) or a replay Program cannot be encoded:
-// dropping either would silently simulate a different point than the key
-// promises. The service dispatches only Grid.Jobs() points, which carry
-// neither.
+// EncodeJob serializes a grid point for POST /execute. A job carrying a DMU
+// override or a replay Program cannot be encoded: dropping either would
+// silently simulate a different point than the key promises. The service
+// dispatches only Grid.Jobs() points, which carry neither.
 func EncodeJob(j runner.Job) ([]byte, error) {
 	switch {
-	case j.Mutate != nil:
-		return nil, errors.New("encode job: a job with a Mutate closure cannot be executed remotely")
+	case j.DMU != nil:
+		return nil, errors.New("encode job: a job with a DMU override cannot be executed remotely")
 	case j.Program != nil:
 		return nil, errors.New("encode job: a job with a replay program cannot be executed remotely")
 	}

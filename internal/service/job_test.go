@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dmu"
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/taskrt"
@@ -34,12 +35,13 @@ func TestJobCodecRoundTrip(t *testing.T) {
 }
 
 func TestJobCodecRejectsMutateAndGarbage(t *testing.T) {
-	mutated := runner.Job{
-		Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Mutate: func(cfg *core.Config) { cfg.DMU.AccessLatency = 4 },
+	slow := dmu.DefaultConfig()
+	slow.AccessLatency = 4
+	override := runner.Job{
+		Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO, DMU: &slow,
 	}
-	if _, err := EncodeJob(mutated); err == nil {
-		t.Error("job with a Mutate closure encoded silently (the mutation would be dropped)")
+	if _, err := EncodeJob(override); err == nil {
+		t.Error("job with a DMU override encoded silently (the override would be dropped)")
 	}
 	prog, err := synth.Generate("synth:stencil:width=4,depth=3,mean=10", core.DefaultConfig(taskrt.Software).Machine)
 	if err != nil {

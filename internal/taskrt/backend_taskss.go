@@ -1,13 +1,9 @@
 package taskrt
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/dmu"
 	"repro/internal/hwsched"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/task"
 )
@@ -19,84 +15,30 @@ import (
 // FIFO Ready Queue accessed directly by the workers, so there is no software
 // pool and no policy choice.
 type taskSSBackend struct {
-	rs   *runState
-	unit *dmu.DMU
-	port *sim.Resource
+	dmuPort
 
 	dequeues uint64
 	maxReady int
 }
 
 func newTaskSSBackend(rs *runState) (*taskSSBackend, error) {
-	return &taskSSBackend{
-		rs:   rs,
-		unit: dmu.New(rs.cfg.DMU),
-		port: rs.eng.NewResource("taskss-port"),
-	}, nil
+	return &taskSSBackend{dmuPort: newDMUPort(rs, "taskss-port")}, nil
 }
 
-func (b *taskSSBackend) issue(tc *threadCtx, phase stats.Phase, op func() (dmu.OpResult, error)) dmu.OpResult {
-	start := int64(tc.proc.Now())
-	b.port.Acquire(tc.proc)
-	tc.account(phase, start, int64(tc.proc.Now()))
-	res, err := op()
-	if err != nil {
-		b.port.Release(tc.proc)
-		panic(fmt.Sprintf("taskrt: Task Superscalar operation failed: %v", err))
-	}
-	tc.charge(phase, b.rs.costs.TdmIssue+res.Cycles)
-	b.port.Release(tc.proc)
-	return res
-}
-
-func (b *taskSSBackend) issueBlocking(tc *threadCtx, phase stats.Phase, can func() bool, op func() (dmu.OpResult, error)) dmu.OpResult {
-	for {
-		if !can() {
-			b.rs.assistUntil(tc, can)
-		}
-		start := int64(tc.proc.Now())
-		b.port.Acquire(tc.proc)
-		tc.account(phase, start, int64(tc.proc.Now()))
-		res, err := op()
-		if err != nil {
-			b.port.Release(tc.proc)
-			if errors.Is(err, dmu.ErrNoSpace) {
-				continue
-			}
-			panic(fmt.Sprintf("taskrt: Task Superscalar operation failed: %v", err))
-		}
-		tc.charge(phase, b.rs.costs.TdmIssue+res.Cycles)
-		b.port.Release(tc.proc)
-		return res
-	}
-}
-
+//simlint:hotpath
 func (b *taskSSBackend) createTask(tc *threadCtx, spec *task.Spec) {
-	desc := b.rs.descOf(spec.ID)
-	tc.charge(stats.Deps, b.rs.costs.TdmTaskAlloc)
-	b.issueBlocking(tc, stats.Deps,
-		func() bool { return b.unit.CanCreateTask(desc) },
-		func() (dmu.OpResult, error) { return b.unit.CreateTask(desc) })
-	for _, d := range spec.Deps {
-		d := d
-		b.issueBlocking(tc, stats.Deps,
-			func() bool { return b.unit.CanAddDependence(desc, d.Addr, d.Size, d.Dir) },
-			func() (dmu.OpResult, error) { return b.unit.AddDependence(desc, d.Addr, d.Size, d.Dir) })
-	}
-	res := b.issue(tc, stats.Deps, func() (dmu.OpResult, error) { return b.unit.SubmitTask(desc) })
-	if res.Ready > 0 {
-		b.rs.notifyWork(res.Ready)
-	}
-	if n := b.unit.ReadyCount(); n > b.maxReady {
-		b.maxReady = n
-	}
+	b.publish(b.registerTask(tc, spec))
 }
 
+//simlint:hotpath
 func (b *taskSSBackend) finishTask(tc *threadCtx, spec *task.Spec) {
-	desc := b.rs.descOf(spec.ID)
-	tc.charge(stats.Deps, b.rs.costs.TdmFinishBase)
-	res := b.issue(tc, stats.Deps, func() (dmu.OpResult, error) { return b.unit.FinishTask(desc) })
-	b.rs.capacity.Broadcast()
+	b.publish(b.retireTask(tc, spec))
+}
+
+// publish wakes one idle thread per task the operation made ready, which the
+// workers then take straight from the Ready Queue, and tracks the queue's
+// peak length.
+func (b *taskSSBackend) publish(res dmu.OpResult) {
 	if res.Ready > 0 {
 		b.rs.notifyWork(res.Ready)
 	}
@@ -105,18 +47,13 @@ func (b *taskSSBackend) finishTask(tc *threadCtx, spec *task.Spec) {
 	}
 }
 
+//simlint:hotpath
 func (b *taskSSBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 	// The hardware scheduler hands out tasks directly from the Ready
 	// Queue; the cost is a hardware queue access rather than a software
 	// scheduling decision.
 	tc.charge(stats.Sched, b.rs.costs.HwQueueDequeue)
-	var rt dmu.ReadyTask
-	var ok bool
-	b.issue(tc, stats.Sched, func() (dmu.OpResult, error) {
-		var res dmu.OpResult
-		rt, res, ok = b.unit.GetReadyTask()
-		return res, nil
-	})
+	_, rt, ok := b.issue(tc, stats.Sched, opGetReadyTask, 0, task.Dep{})
 	if !ok {
 		return nil
 	}
@@ -126,15 +63,10 @@ func (b *taskSSBackend) acquireTask(tc *threadCtx) *sched.ReadyTask {
 
 func (b *taskSSBackend) pending() bool { return b.unit.ReadyCount() > 0 }
 
-func (b *taskSSBackend) dmuOccupancy() (int, int) {
-	return b.unit.InFlightTasks(), b.unit.InFlightDeps()
-}
-
 func (b *taskSSBackend) fillResult(res *Result) {
-	snap := b.unit.Snapshot()
-	res.DMU = &snap
+	b.dmuPort.fillResult(res)
 	res.HardwareQueue = &hwsched.GlobalStats{
-		Enqueues:  snap.Ops.ReadyProduced,
+		Enqueues:  res.DMU.Ops.ReadyProduced,
 		Dequeues:  b.dequeues,
 		MaxQueued: b.maxReady,
 	}

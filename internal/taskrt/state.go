@@ -340,15 +340,6 @@ func (tc *threadCtx) idleWait(cond func() bool) {
 	tc.account(stats.Idle, start, int64(tc.proc.Now()))
 }
 
-// capacityWait parks the thread until cond() holds (re-checked whenever
-// hardware capacity is freed) and accounts the elapsed time to the given
-// phase; the paper attributes creation-side stalls to dependence management.
-func (tc *threadCtx) capacityWait(phase stats.Phase, cond func() bool) {
-	start := int64(tc.proc.Now())
-	tc.rs.capacity.WaitFor(tc.proc, cond)
-	tc.account(phase, start, int64(tc.proc.Now()))
-}
-
 func traceKind(p stats.Phase) trace.Kind {
 	switch p {
 	case stats.Exec:

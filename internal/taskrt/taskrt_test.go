@@ -92,6 +92,20 @@ func TestAllRuntimesCompleteSmallProgram(t *testing.T) {
 		if sum != prog.NumTasks() {
 			t.Errorf("%s: ExecutedByCore sums to %d", kind, sum)
 		}
+		// Task latency is measured on the simulated clock: every
+		// submit-to-retire span lies within the run.
+		lat := res.TaskLatency
+		if lat == nil {
+			t.Errorf("%s: no task latency summary", kind)
+			continue
+		}
+		if lat.Count != res.TasksExecuted {
+			t.Errorf("%s: latency summary counts %d tasks, %d executed", kind, lat.Count, res.TasksExecuted)
+		}
+		if !(0 <= lat.P50 && lat.P50 <= lat.P99 && lat.P99 <= lat.Max && lat.Max <= res.Cycles) {
+			t.Errorf("%s: task latency P50 %d, P99 %d, max %d outside [0, %d cycles]",
+				kind, lat.P50, lat.P99, lat.Max, res.Cycles)
+		}
 	}
 }
 

@@ -64,23 +64,6 @@ func (rs *runState) workOnce(tc *threadCtx) bool {
 	return true
 }
 
-// assistUntil is the task-throttling policy used while a hardware structure
-// is full: instead of stalling on the blocked TDM instruction, the creating
-// thread executes ready tasks (which retire in-flight tasks and free entries)
-// until the pre-check succeeds. Remaining wait time, when no task is ready,
-// is accounted as dependence-management time, matching the paper's treatment
-// of creation-side stalls.
-func (rs *runState) assistUntil(tc *threadCtx, can func() bool) {
-	for !can() {
-		if rs.workOnce(tc) {
-			continue
-		}
-		tc.capacityWait(stats.Deps, func() bool {
-			return can() || rs.backend.pending()
-		})
-	}
-}
-
 // executeTask charges the (locality-adjusted) task body duration to the
 // executing core and validates the dependence order.
 //
