@@ -145,9 +145,9 @@ func BenchmarkQuickFig13(b *testing.B) { benchExperiment(b, "fig13", quickOption
 // --- Sweep-engine benchmarks ---
 //
 // One iteration of a RunAll benchmark regenerates every figure and table of
-// the evaluation over the quick benchmark subset. The Sequential variant pins
-// the worker pool to one worker (the pre-runner execution model); the
-// Parallel variant uses GOMAXPROCS workers, demonstrating the wall-clock
+// the evaluation over the quick benchmark subset. The Sequential variant gives
+// the engine one execution slot (the pre-runner execution model); the
+// Parallel variant uses GOMAXPROCS slots, demonstrating the wall-clock
 // speedup of running the deduplicated union of all sweep points concurrently.
 
 func benchRunAll(b *testing.B, workers int) {

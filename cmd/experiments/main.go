@@ -3,11 +3,11 @@
 // whose rows mirror the corresponding figure's data series.
 //
 // Simulation points run concurrently through the sweep engine
-// (internal/runner): each experiment's point set is prewarmed over -workers
-// workers before its tables are assembled, and points shared between
-// experiments simulate only once. With -store DIR results persist across
-// invocations, so a rerun (or a different experiment over the same points)
-// starts warm.
+// (internal/runner): each experiment's point set is prewarmed, at most
+// -workers simulations at a time, before its tables are assembled, and
+// points shared between experiments simulate only once. With -store DIR
+// results persist across invocations, so a rerun (or a different experiment
+// over the same points) starts warm.
 //
 // Examples:
 //

@@ -4,13 +4,16 @@
 // whose rows mirror the data series of the original figure, so the output
 // can be compared against the paper (EXPERIMENTS.md records that comparison).
 //
-// Every driver enumerates its simulation points as runner.Job values, so
-// sweeps execute through the internal/runner engine: points are
-// content-addressed (identical points shared between figures are simulated
-// once), memoized in a concurrency-safe store, and — when a figure's point
-// set is known up front — executed in parallel over a worker pool before the
-// tables are assembled sequentially. Table output is therefore byte-identical
-// regardless of the worker count.
+// Every experiment that simulates names its points once, in a point list
+// that appends a benchmark's points as runner.Job values. Experiment.Points
+// walks that list to prewarm, and the driver walks it again to read the
+// results back in the same order. Sweeps execute through the internal/runner
+// engine: points are content-addressed (identical points shared between
+// figures are simulated once) and memoized in a concurrency-safe store. A
+// prewarm runs the deduplicated union of the points concurrently, bounded
+// only by the engine's Workers execution slots, before the tables are
+// assembled sequentially from the warm store. Table output is therefore
+// byte-identical regardless of the worker count.
 //
 // The drivers are used by cmd/experiments (text/CSV output), cmd/sweep
 // (arbitrary grids) and by the repository-level benchmark harness in
@@ -93,10 +96,50 @@ func (o Options) engine() *runner.Engine {
 	return &runner.Engine{Base: base, Store: o.Cache, Workers: o.Workers, Log: o.Log}
 }
 
-// run simulates one sweep point through the engine, memoizing the result in
-// the options cache.
-func (o Options) run(j runner.Job) (*core.Result, error) {
-	return o.engine().Run(j)
+// pointList appends the simulation points one benchmark contributes to an
+// experiment, as runner jobs in the order the experiment's driver reads
+// their results, or appends nothing for a benchmark the experiment leaves
+// out. It is the experiment's only list of points: Experiment.Points walks
+// it through jobs, and the driver through Options.each. Listing points
+// builds jobs and nothing else, so it stays cheap.
+type pointList func(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job
+
+// jobs lists the points of every benchmark in the options.
+func (l pointList) jobs(opt Options) ([]runner.Job, error) {
+	benches, err := opt.benchmarks()
+	if err != nil {
+		return nil, err
+	}
+	var jobs []runner.Job
+	for _, b := range benches {
+		jobs = l(opt, b, jobs)
+	}
+	return jobs, nil
+}
+
+// each runs the points l lists for every benchmark in the options, one by
+// one through the options cache, and hands each benchmark with points its
+// results, in list order, to add. It stops at the first failing point.
+func (o Options) each(l pointList, add func(b *workloads.Benchmark, res []*core.Result)) error {
+	benches, err := o.benchmarks()
+	if err != nil {
+		return err
+	}
+	eng := o.engine()
+	for _, b := range benches {
+		jobs := l(o, b, nil)
+		if len(jobs) == 0 {
+			continue
+		}
+		res := make([]*core.Result, len(jobs))
+		for i, j := range jobs {
+			if res[i], err = eng.Run(j); err != nil {
+				return err
+			}
+		}
+		add(b, res)
+	}
+	return nil
 }
 
 // Prewarm executes a set of sweep points concurrently through the options
@@ -126,29 +169,30 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment and returns its tables.
 	Run func(Options) ([]*stats.Table, error)
-	// Points enumerates the simulation points the experiment needs as
-	// runner jobs, letting sweeps execute them concurrently (and
-	// deduplicate points shared with other experiments) before Run
-	// assembles the tables. nil means the experiment simulates nothing.
+	// Points lists the simulation points Run reads, as runner jobs: it
+	// walks the same point list as Run, so sweeps can execute the points
+	// concurrently (and deduplicate points shared with other experiments)
+	// before Run assembles the tables from the warm cache. nil means the
+	// experiment simulates nothing.
 	Points func(Options) ([]runner.Job, error)
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{ID: "fig2", Title: "Figure 2: execution time breakdown under the software runtime", Run: Fig2Breakdown, Points: pointsFig2},
-		{ID: "fig6", Title: "Figure 6: execution time vs task granularity", Run: Fig6Granularity, Points: pointsFig6},
+		{ID: "fig2", Title: "Figure 2: execution time breakdown under the software runtime", Run: Fig2Breakdown, Points: pointList(fig2Points).jobs},
+		{ID: "fig6", Title: "Figure 6: execution time vs task granularity", Run: Fig6Granularity, Points: pointList(fig6Points).jobs},
 		{ID: "tab2", Title: "Table II: benchmark characteristics at the optimal granularities", Run: TableII},
-		{ID: "fig7", Title: "Figure 7: performance vs TAT/DAT size", Run: Fig7AliasSizing, Points: pointsFig7},
-		{ID: "fig8", Title: "Figure 8: performance vs list array size", Run: Fig8ListArrays, Points: pointsFig8},
-		{ID: "fig9", Title: "Figure 9: performance vs DMU access latency", Run: Fig9Latency, Points: pointsFig9},
+		{ID: "fig7", Title: "Figure 7: performance vs TAT/DAT size", Run: Fig7AliasSizing, Points: pointList(fig7Points).jobs},
+		{ID: "fig8", Title: "Figure 8: performance vs list array size", Run: Fig8ListArrays, Points: pointList(fig8Points).jobs},
+		{ID: "fig9", Title: "Figure 9: performance vs DMU access latency", Run: Fig9Latency, Points: pointList(fig9Points).jobs},
 		{ID: "tab3", Title: "Table III: DMU storage and area", Run: TableIII},
-		{ID: "fig10", Title: "Figure 10: task creation time, software vs TDM", Run: Fig10CreationTime, Points: pointsFig10},
-		{ID: "fig11", Title: "Figure 11: DAT occupancy with static vs dynamic index bits", Run: Fig11IndexBits, Points: pointsFig11},
-		{ID: "fig12", Title: "Figure 12: speedup and EDP of software schedulers with TDM", Run: Fig12Schedulers, Points: pointsFig12},
-		{ID: "fig13", Title: "Figure 13: comparison against Carbon and Task Superscalar", Run: Fig13Comparison, Points: pointsFig13},
+		{ID: "fig10", Title: "Figure 10: task creation time, software vs TDM", Run: Fig10CreationTime, Points: pointList(fig10Points).jobs},
+		{ID: "fig11", Title: "Figure 11: DAT occupancy with static vs dynamic index bits", Run: Fig11IndexBits, Points: pointList(fig11Points).jobs},
+		{ID: "fig12", Title: "Figure 12: speedup and EDP of software schedulers with TDM", Run: Fig12Schedulers, Points: pointList(fig12Points).jobs},
+		{ID: "fig13", Title: "Figure 13: comparison against Carbon and Task Superscalar", Run: Fig13Comparison, Points: pointList(fig13Points).jobs},
 		{ID: "area-ratio", Title: "Section VI-C: hardware complexity comparison", Run: AreaComparison},
-		{ID: "extracore", Title: "Section VI-C: adding a 33rd core to the software runtime", Run: ExtraCore, Points: pointsExtraCore},
+		{ID: "extracore", Title: "Section VI-C: adding a 33rd core to the software runtime", Run: ExtraCore, Points: pointList(extraCorePoints).jobs},
 	}
 }
 
@@ -187,10 +231,10 @@ func JobsFor(opt Options, exps ...Experiment) ([]runner.Job, error) {
 
 // RunAll executes every experiment, writing the tables to w. With a cache
 // configured, the deduplicated union of every experiment's simulation points
-// runs first, in parallel across Options.Workers workers, generating each
-// distinct program once (see runner.Engine.RunAll); the tables are then
-// assembled sequentially from the warm cache, so the output is identical to a
-// strictly sequential run.
+// runs first, concurrently within the engine's Options.Workers execution
+// slots, generating each distinct program once (see runner.Engine.RunAll);
+// the tables are then assembled sequentially from the warm cache, so the
+// output is identical to a strictly sequential run.
 func RunAll(opt Options, w io.Writer) error {
 	if opt.Cache != nil {
 		jobs, err := JobsFor(opt, All()...)

@@ -329,7 +329,9 @@ func seedSequentialRunAll(opt Options, w io.Writer) error {
 // TestRunAllParallelMatchesSequential pins the determinism contract of the
 // sweep engine: the full evaluation produces byte-identical output whether
 // the points run strictly sequentially (the seed behaviour), through the
-// runner with a single worker, or through the runner with many workers.
+// runner with a single worker, or through the runner with many workers. The
+// sequential output itself is pinned by its length and SHA-256, so a
+// refactoring of the drivers cannot change a table byte unnoticed.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full RunAll comparison skipped in -short mode")
@@ -338,6 +340,15 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	opt := testOptions()
 	if err := seedSequentialRunAll(opt, &sequential); err != nil {
 		t.Fatal(err)
+	}
+	const (
+		wantLen    = 6796
+		wantDigest = "0504c7e721791f406641e53a028b3188c32ea30928710ecb4db690a3222298d3"
+	)
+	sum := sha256.Sum256(sequential.Bytes())
+	if got := hex.EncodeToString(sum[:]); sequential.Len() != wantLen || got != wantDigest {
+		t.Errorf("sequential output is %d bytes with SHA-256 %s, want %d bytes with %s",
+			sequential.Len(), got, wantLen, wantDigest)
 	}
 	for _, workers := range []int{1, 8} {
 		opt := testOptions()
@@ -449,7 +460,7 @@ func TestJobKeysPinned(t *testing.T) {
 // point and reports the cancellation cause.
 func TestPrewarmContextCancelled(t *testing.T) {
 	opt := testOptions()
-	jobs, err := pointsFig10(opt)
+	jobs, err := pointList(fig10Points).jobs(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

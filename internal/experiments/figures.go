@@ -26,32 +26,21 @@ var indexBitBenchmarks = map[string]bool{
 // tdmSchedulerColumns is the column order of Figure 12.
 var tdmSchedulerColumns = []string{sched.FIFO, sched.LIFO, sched.Locality, sched.Successor, sched.Age}
 
-// Sweep dimensions shared between the drivers and the points enumerations in
-// points.go (single source of truth, so prewarm coverage cannot drift).
+// Sweep dimensions of Figures 7, 8, 9 and 11. Figure 9's first latency, 0,
+// is its normalization baseline.
 var (
 	fig7Sizes       = []int{512, 1024, 2048, 4096}
 	fig8Sizes       = []int{128, 256, 512, 1024, 2048}
-	fig9Latencies   = []int{1, 4, 16}
+	fig9Latencies   = []int{0, 1, 4, 16}
 	fig11StaticBits = []uint{0, 4, 8, 12, 16}
 )
 
-// --- Job constructors ---
-//
-// Each figure's simulation points are built here, as runner jobs, and used
-// both by the table-assembling drivers below and by the points enumerations
-// in points.go. Jobs are content-addressed, so points shared between figures
-// (for example the software/FIFO baseline) simulate exactly once per cache.
-
 // baseJob is a benchmark under a runtime and scheduler with the unmodified
-// base configuration.
+// base configuration. Jobs are content-addressed, so points shared between
+// figures (for example the software/FIFO baseline) simulate exactly once
+// per cache.
 func baseJob(b *workloads.Benchmark, kind taskrt.Kind, scheduler string) runner.Job {
 	return runner.Job{Benchmark: b.Name, Runtime: kind, Scheduler: scheduler, Label: "base"}
-}
-
-// fig6Job is a software-runtime run at an explicit granularity.
-func fig6Job(b *workloads.Benchmark, gran int64) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Granularity: gran, Label: fmt.Sprintf("gran=%d", gran)}
 }
 
 // dmuJob is a TDM/FIFO run of a benchmark on the DMU d (Figures 7, 8, 9
@@ -60,81 +49,26 @@ func dmuJob(b *workloads.Benchmark, label string, d dmu.Config) runner.Job {
 	return runner.Job{Benchmark: b.Name, Runtime: taskrt.TDM, Scheduler: sched.FIFO, Label: label, DMU: &d}
 }
 
-// fig7EnlargeLists removes list-array pressure so Figure 7 isolates the
-// alias tables.
-func fig7EnlargeLists(d dmu.Config) dmu.Config {
+// enlargeLists removes list-array pressure, so Figure 7 isolates the alias
+// tables and Figure 8's ideal DMU has effectively unlimited list arrays.
+func enlargeLists(d dmu.Config) dmu.Config {
 	d.SLAEntries, d.DLAEntries, d.RLAEntries = 16384, 16384, 16384
 	return d
 }
 
-// fig7IdealJob is the idealized DMU with effectively unlimited alias entries
-// that Figure 7 normalizes against.
-func fig7IdealJob(opt Options, b *workloads.Benchmark) runner.Job {
-	d := fig7EnlargeLists(opt.DMU)
-	d.TATEntries, d.DATEntries = 32768, 32768
-	d.ReadyQueueEntries = 32768
-	return dmuJob(b, "ideal-alias", d)
-}
-
-// fig7SizeJob is one TAT/DAT sizing point of the Figure 7 sweep.
-func fig7SizeJob(opt Options, b *workloads.Benchmark, tat, dat int) runner.Job {
-	d := fig7EnlargeLists(opt.DMU)
-	d.TATEntries, d.DATEntries = tat, dat
-	d.ReadyQueueEntries = tat
-	return dmuJob(b, fmt.Sprintf("tat=%d dat=%d", tat, dat), d)
-}
-
-// fig8IdealJob is the idealized DMU with effectively unlimited list arrays
-// that Figure 8 normalizes against.
-func fig8IdealJob(opt Options, b *workloads.Benchmark) runner.Job {
-	return dmuJob(b, "ideal-lists", fig7EnlargeLists(opt.DMU))
-}
-
-// fig8SizeJob is one list-array sizing point of the Figure 8 sweep.
-func fig8SizeJob(opt Options, b *workloads.Benchmark, size int) runner.Job {
-	d := opt.DMU
-	d.SLAEntries, d.DLAEntries, d.RLAEntries = size, size, size
-	return dmuJob(b, fmt.Sprintf("la=%d", size), d)
-}
-
-// fig9LatJob is one DMU access-latency point of the Figure 9 sweep
-// (latency 0 is the normalization baseline).
-func fig9LatJob(opt Options, b *workloads.Benchmark, lat int) runner.Job {
-	d := opt.DMU
-	d.AccessLatency = lat
-	return dmuJob(b, fmt.Sprintf("lat=%d", lat), d)
-}
-
-// fig11StaticJob is a TDM run with a static DAT index-bit selection.
-func fig11StaticJob(opt Options, b *workloads.Benchmark, bit uint) runner.Job {
-	d := opt.DMU
-	d.DATIndex = dmu.StaticIndex(bit)
-	return dmuJob(b, fmt.Sprintf("index=static%d", bit), d)
-}
-
-// extraCoreJob is the software runtime with one core added to the base
-// machine (Section VI-C).
-func extraCoreJob(opt Options, b *workloads.Benchmark) runner.Job {
-	return runner.Job{Benchmark: b.Name, Runtime: taskrt.Software, Scheduler: sched.FIFO,
-		Cores: opt.Machine.Cores + 1, Label: "extra-core"}
+// fig2Points: the software runtime with FIFO.
+func fig2Points(_ Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	return append(jobs, baseJob(b, taskrt.Software, sched.FIFO))
 }
 
 // Fig2Breakdown reproduces Figure 2: the execution-time breakdown
 // (DEPS/SCHED/EXEC/IDLE) of the master thread and of the worker threads under
 // the pure software runtime with a FIFO scheduler.
 func Fig2Breakdown(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable("Figure 2: execution time breakdown, software runtime (percent of time)",
 		"benchmark", "thread", "DEPS", "SCHED", "EXEC", "IDLE")
 	var masterAgg, workerAgg []stats.Breakdown
-	for _, b := range benches {
-		res, err := opt.run(baseJob(b, taskrt.Software, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
+	err := opt.each(fig2Points, func(b *workloads.Benchmark, res []*core.Result) {
 		addRow := func(thread string, bd stats.Breakdown) {
 			t.AddRow(b.Short, thread,
 				stats.Percent(bd.Fraction(stats.Deps)),
@@ -142,10 +76,13 @@ func Fig2Breakdown(opt Options) ([]*stats.Table, error) {
 				stats.Percent(bd.Fraction(stats.Exec)),
 				stats.Percent(bd.Fraction(stats.Idle)))
 		}
-		addRow("master", res.Master)
-		addRow("workers", res.Workers)
-		masterAgg = append(masterAgg, res.Master)
-		workerAgg = append(workerAgg, res.Workers)
+		addRow("master", res[0].Master)
+		addRow("workers", res[0].Workers)
+		masterAgg = append(masterAgg, res[0].Master)
+		workerAgg = append(workerAgg, res[0].Workers)
+	})
+	if err != nil {
+		return nil, err
 	}
 	addAvg := func(thread string, bds []stats.Breakdown) {
 		var deps, schd, exec, idle []float64
@@ -164,88 +101,77 @@ func Fig2Breakdown(opt Options) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
+// fig6Points: the software runtime at every granularity of the benchmark's
+// sweep, for the benchmarks whose granularity can change.
+func fig6Points(_ Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	if b.Pipeline {
+		return jobs
+	}
+	for _, g := range b.Sweep {
+		jobs = append(jobs, runner.Job{Benchmark: b.Name, Runtime: taskrt.Software, Scheduler: sched.FIFO,
+			Granularity: g, Label: fmt.Sprintf("gran=%d", g)})
+	}
+	return jobs
+}
+
 // Fig6Granularity reproduces Figure 6: execution time of the software runtime
 // across task granularities, normalized to the best granularity of each
 // benchmark.
 func Fig6Granularity(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
+	t := stats.NewTable("Figure 6: execution time vs task granularity (software runtime, normalized to best)",
+		"benchmark", "granularity", "unit", "tasks", "norm. time")
+	err := opt.each(fig6Points, func(b *workloads.Benchmark, res []*core.Result) {
+		best := fastest(res).Cycles
+		for i, r := range res {
+			t.AddRowValues(b.Short, b.Sweep[i], b.Unit, r.TasksExecuted, float64(r.Cycles)/float64(best))
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	t := stats.NewTable("Figure 6: execution time vs task granularity (software runtime, normalized to best)",
-		"benchmark", "granularity", "unit", "tasks", "norm. time")
-	for _, b := range benches {
-		if b.Pipeline {
-			continue
-		}
-		type point struct {
-			gran   int64
-			cycles int64
-			tasks  int
-		}
-		var points []point
-		for _, g := range b.Sweep {
-			res, err := opt.run(fig6Job(b, g))
-			if err != nil {
-				return nil, err
-			}
-			points = append(points, point{gran: g, cycles: res.Cycles, tasks: res.TasksExecuted})
-		}
-		best := points[0].cycles
-		for _, p := range points {
-			if p.cycles < best {
-				best = p.cycles
-			}
-		}
-		for _, p := range points {
-			t.AddRowValues(b.Short, p.gran, b.Unit, p.tasks, float64(p.cycles)/float64(best))
+	return []*stats.Table{t}, nil
+}
+
+// fig7Points: for the alias-sensitive benchmarks, an idealized DMU with
+// effectively unlimited alias entries, then every TAT/DAT size pair, TAT
+// by TAT. Every point has enlarged list arrays.
+func fig7Points(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	if !aliasSensitiveBenchmarks[b.Name] {
+		return jobs
+	}
+	d := enlargeLists(opt.DMU)
+	d.TATEntries, d.DATEntries, d.ReadyQueueEntries = 32768, 32768, 32768
+	jobs = append(jobs, dmuJob(b, "ideal-alias", d))
+	for _, tat := range fig7Sizes {
+		for _, dat := range fig7Sizes {
+			d.TATEntries, d.DATEntries, d.ReadyQueueEntries = tat, dat, tat
+			jobs = append(jobs, dmuJob(b, fmt.Sprintf("tat=%d dat=%d", tat, dat), d))
 		}
 	}
-	return []*stats.Table{t}, nil
+	return jobs
 }
 
 // Fig7AliasSizing reproduces Figure 7: TDM performance while sweeping the TAT
 // and DAT sizes, normalized to an idealized DMU with effectively unlimited
 // entries and the same latency.
 func Fig7AliasSizing(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
+	return perfVsIdeal(opt, fig7Points, "Figure 7: performance vs TAT/DAT entries (TDM, normalized to ideal DMU)",
+		"TAT", fig7Sizes, "DAT", fig7Sizes)
+}
+
+// fig8Points: for the alias-sensitive benchmarks, an idealized DMU with
+// effectively unlimited list arrays, then every list-array size.
+func fig8Points(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	if !aliasSensitiveBenchmarks[b.Name] {
+		return jobs
 	}
-	sizes := fig7Sizes
-	t := stats.NewTable("Figure 7: performance vs TAT/DAT entries (TDM, normalized to ideal DMU)",
-		append([]string{"benchmark", "TAT"}, sizeColumns("DAT", sizes)...)...)
-	perSize := make(map[[2]int][]float64)
-	for _, b := range benches {
-		if !aliasSensitiveBenchmarks[b.Name] {
-			continue
-		}
-		ideal, err := opt.run(fig7IdealJob(opt, b))
-		if err != nil {
-			return nil, err
-		}
-		for _, tat := range sizes {
-			row := []any{b.Short, tat}
-			for _, dat := range sizes {
-				res, err := opt.run(fig7SizeJob(opt, b, tat, dat))
-				if err != nil {
-					return nil, err
-				}
-				perf := float64(ideal.Cycles) / float64(res.Cycles)
-				perSize[[2]int{tat, dat}] = append(perSize[[2]int{tat, dat}], perf)
-				row = append(row, perf)
-			}
-			t.AddRowValues(row...)
-		}
+	jobs = append(jobs, dmuJob(b, "ideal-lists", enlargeLists(opt.DMU)))
+	for _, size := range fig8Sizes {
+		d := opt.DMU
+		d.SLAEntries, d.DLAEntries, d.RLAEntries = size, size, size
+		jobs = append(jobs, dmuJob(b, fmt.Sprintf("la=%d", size), d))
 	}
-	for _, tat := range sizes {
-		row := []any{"AVG", tat}
-		for _, dat := range sizes {
-			row = append(row, stats.GeoMean(perSize[[2]int{tat, dat}]))
-		}
-		t.AddRowValues(row...)
-	}
-	return []*stats.Table{t}, nil
+	return jobs
 }
 
 // Fig8ListArrays reproduces Figure 8: TDM performance while sweeping the size
@@ -253,99 +179,92 @@ func Fig7AliasSizing(opt Options) ([]*stats.Table, error) {
 // normalized to an idealized DMU. The paper sweeps the three arrays
 // independently; EXPERIMENTS.md discusses the simplification.
 func Fig8ListArrays(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
+	return perfVsIdeal(opt, fig8Points, "Figure 8: performance vs list array entries (TDM, normalized to ideal DMU)",
+		"", nil, "LA", fig8Sizes)
+}
+
+// fig9Points: every DMU access latency, the zero-latency baseline first.
+func fig9Points(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	for _, lat := range fig9Latencies {
+		d := opt.DMU
+		d.AccessLatency = lat
+		jobs = append(jobs, dmuJob(b, fmt.Sprintf("lat=%d", lat), d))
 	}
-	sizes := fig8Sizes
-	t := stats.NewTable("Figure 8: performance vs list array entries (TDM, normalized to ideal DMU)",
-		append([]string{"benchmark"}, sizeColumns("LA", sizes)...)...)
-	perSize := make(map[int][]float64)
-	for _, b := range benches {
-		if !aliasSensitiveBenchmarks[b.Name] {
-			continue
-		}
-		ideal, err := opt.run(fig8IdealJob(opt, b))
-		if err != nil {
-			return nil, err
-		}
-		row := []any{b.Short}
-		for _, size := range sizes {
-			res, err := opt.run(fig8SizeJob(opt, b, size))
-			if err != nil {
-				return nil, err
-			}
-			perf := float64(ideal.Cycles) / float64(res.Cycles)
-			perSize[size] = append(perSize[size], perf)
-			row = append(row, perf)
-		}
-		t.AddRowValues(row...)
-	}
-	avg := []any{"AVG"}
-	for _, size := range sizes {
-		avg = append(avg, stats.GeoMean(perSize[size]))
-	}
-	t.AddRowValues(avg...)
-	return []*stats.Table{t}, nil
+	return jobs
 }
 
 // Fig9Latency reproduces Figure 9: TDM performance when the access time of
 // every DMU structure grows from 1 to 16 cycles, normalized to a DMU with
 // zero-latency structures.
 func Fig9Latency(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
+	return perfVsIdeal(opt, fig9Points, "Figure 9: performance vs DMU access latency (normalized to zero-latency DMU)",
+		"", nil, "lat", fig9Latencies[1:])
+}
+
+// perfVsIdeal renders Figures 7, 8 and 9: the performance of each point
+// relative to its benchmark's ideal DMU (the ideal's cycles over the
+// point's), one table row per entry of rows, then AVG rows holding each
+// cell's geometric mean across benchmarks. A benchmark's point list holds
+// the ideal point first, then len(cols) points per row, row by row. The
+// rowName column labels each row with its entry of rows; with nil rows a
+// benchmark has one row and no such column.
+func perfVsIdeal(opt Options, l pointList, title, rowName string, rows []int, colName string, cols []int) ([]*stats.Table, error) {
+	header := []string{"benchmark"}
+	if rows != nil {
+		header = append(header, rowName)
+	}
+	for _, c := range cols {
+		header = append(header, fmt.Sprintf("%s=%d", colName, c))
+	}
+	t := stats.NewTable(title, header...)
+	label := func(first any, r int) []any {
+		if rows == nil {
+			return []any{first}
+		}
+		return []any{first, rows[r]}
+	}
+	nrows := max(len(rows), 1)
+	perCell := make([][]float64, nrows*len(cols))
+	err := opt.each(l, func(b *workloads.Benchmark, res []*core.Result) {
+		ideal, cells := res[0], res[1:]
+		for r := range nrows {
+			row := label(b.Short, r)
+			for c := range cols {
+				i := r*len(cols) + c
+				perf := float64(ideal.Cycles) / float64(cells[i].Cycles)
+				perCell[i] = append(perCell[i], perf)
+				row = append(row, perf)
+			}
+			t.AddRowValues(row...)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	latencies := fig9Latencies
-	t := stats.NewTable("Figure 9: performance vs DMU access latency (normalized to zero-latency DMU)",
-		append([]string{"benchmark"}, sizeColumns("lat", latencies)...)...)
-	perLat := make(map[int][]float64)
-	for _, b := range benches {
-		ideal, err := opt.run(fig9LatJob(opt, b, 0))
-		if err != nil {
-			return nil, err
-		}
-		row := []any{b.Short}
-		for _, lat := range latencies {
-			res, err := opt.run(fig9LatJob(opt, b, lat))
-			if err != nil {
-				return nil, err
-			}
-			perf := float64(ideal.Cycles) / float64(res.Cycles)
-			perLat[lat] = append(perLat[lat], perf)
-			row = append(row, perf)
+	for r := range nrows {
+		row := label("AVG", r)
+		for c := range cols {
+			row = append(row, stats.GeoMean(perCell[r*len(cols)+c]))
 		}
 		t.AddRowValues(row...)
 	}
-	avg := []any{"AVG"}
-	for _, lat := range latencies {
-		avg = append(avg, stats.GeoMean(perLat[lat]))
-	}
-	t.AddRowValues(avg...)
 	return []*stats.Table{t}, nil
+}
+
+// fig10Points: the software runtime, then TDM, both with FIFO.
+func fig10Points(_ Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	return append(jobs, baseJob(b, taskrt.Software, sched.FIFO), baseJob(b, taskrt.TDM, sched.FIFO))
 }
 
 // Fig10CreationTime reproduces Figure 10: the share of execution time the
 // master spends creating tasks and managing dependences, with the software
 // runtime and with TDM.
 func Fig10CreationTime(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable("Figure 10: master task-creation time (percent of execution time)",
 		"benchmark", "software", "TDM", "reduction")
 	var swF, tdmF []float64
-	for _, b := range benches {
-		sw, err := opt.run(baseJob(b, taskrt.Software, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		tdm, err := opt.run(baseJob(b, taskrt.TDM, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
+	err := opt.each(fig10Points, func(b *workloads.Benchmark, res []*core.Result) {
+		sw, tdm := res[0], res[1]
 		s, d := sw.MasterCreationFraction(), tdm.MasterCreationFraction()
 		swF = append(swF, s)
 		tdmF = append(tdmF, d)
@@ -354,47 +273,60 @@ func Fig10CreationTime(opt Options) ([]*stats.Table, error) {
 			reduction = s * float64(sw.Cycles) / (d * float64(tdm.Cycles))
 		}
 		t.AddRow(b.Short, stats.Percent(s), stats.Percent(d), fmt.Sprintf("%.1fx", reduction))
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.AddRow("AVG", stats.Percent(stats.Mean(swF)), stats.Percent(stats.Mean(tdmF)), "")
 	return []*stats.Table{t}, nil
+}
+
+// fig11Points: for the benchmarks Figure 11 evaluates, TDM with every static
+// DAT index-bit selection, then TDM with the default configuration, which
+// already selects index bits dynamically.
+func fig11Points(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	if !indexBitBenchmarks[b.Name] {
+		return jobs
+	}
+	for _, bit := range fig11StaticBits {
+		d := opt.DMU
+		d.DATIndex = dmu.StaticIndex(bit)
+		jobs = append(jobs, dmuJob(b, fmt.Sprintf("index=static%d", bit), d))
+	}
+	return append(jobs, baseJob(b, taskrt.TDM, sched.FIFO))
 }
 
 // Fig11IndexBits reproduces Figure 11: the average number of occupied DAT
 // sets with static index-bit selection (starting at bits 0, 4, 8, 12, 16) and
 // with the dynamic, size-based selection.
 func Fig11IndexBits(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	staticBits := fig11StaticBits
 	cols := []string{"benchmark"}
-	for _, bit := range staticBits {
+	for _, bit := range fig11StaticBits {
 		cols = append(cols, fmt.Sprintf("static@%d", bit))
 	}
 	cols = append(cols, "dynamic")
 	t := stats.NewTable("Figure 11: average occupied DAT sets (of 256)", cols...)
-	for _, b := range benches {
-		if !indexBitBenchmarks[b.Name] {
-			continue
-		}
+	err := opt.each(fig11Points, func(b *workloads.Benchmark, res []*core.Result) {
 		row := []any{b.Short}
-		for _, bit := range staticBits {
-			res, err := opt.run(fig11StaticJob(opt, b, bit))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.DMU.DAT.AvgOccupiedSets)
+		for _, r := range res {
+			row = append(row, r.DMU.DAT.AvgOccupiedSets)
 		}
-		// The default configuration already selects index bits dynamically.
-		res, err := opt.run(baseJob(b, taskrt.TDM, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, res.DMU.DAT.AvgOccupiedSets)
 		t.AddRowValues(row...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return []*stats.Table{t}, nil
+}
+
+// fig12Points: the software runtime with FIFO, then the software runtime
+// and TDM under each scheduler of tdmSchedulerColumns in turn.
+func fig12Points(_ Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	jobs = append(jobs, baseJob(b, taskrt.Software, sched.FIFO))
+	for _, s := range tdmSchedulerColumns {
+		jobs = append(jobs, baseJob(b, taskrt.Software, s), baseJob(b, taskrt.TDM, s))
+	}
+	return jobs
 }
 
 // Fig12Schedulers reproduces Figure 12: speedup (top) and normalized EDP
@@ -402,139 +334,95 @@ func Fig11IndexBits(opt Options) ([]*stats.Table, error) {
 // software schedulers running on TDM, all normalized to the software runtime
 // with a FIFO scheduler.
 func Fig12Schedulers(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
+	return speedupEDP(opt, fig12Points,
+		"Figure 12 (top): speedup over software runtime with FIFO",
+		"Figure 12 (bottom): normalized EDP (lower is better)",
+		[]string{"OptSW", "FIFO+TDM", "LIFO+TDM", "Local+TDM", "Succ+TDM", "Age+TDM", "OptTDM"},
+		func(res []*core.Result) []*core.Result {
+			sw := []*core.Result{res[0]}
+			var tdm []*core.Result
+			for i := 1; i < len(res); i += 2 {
+				sw = append(sw, res[i])
+				tdm = append(tdm, res[i+1])
+			}
+			return append(append([]*core.Result{fastest(sw)}, tdm...), fastest(tdm))
+		})
+}
+
+// fig13Points: the software runtime, Carbon and Task Superscalar with FIFO,
+// then TDM under each scheduler of tdmSchedulerColumns.
+func fig13Points(_ Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	jobs = append(jobs,
+		baseJob(b, taskrt.Software, sched.FIFO),
+		baseJob(b, taskrt.Carbon, sched.FIFO),
+		baseJob(b, taskrt.TaskSuperscalar, sched.FIFO))
+	for _, s := range tdmSchedulerColumns {
+		jobs = append(jobs, baseJob(b, taskrt.TDM, s))
 	}
-	speedup := stats.NewTable("Figure 12 (top): speedup over software runtime with FIFO",
-		"benchmark", "OptSW", "FIFO+TDM", "LIFO+TDM", "Local+TDM", "Succ+TDM", "Age+TDM", "OptTDM")
-	edp := stats.NewTable("Figure 12 (bottom): normalized EDP (lower is better)",
-		"benchmark", "OptSW", "FIFO+TDM", "LIFO+TDM", "Local+TDM", "Succ+TDM", "Age+TDM", "OptTDM")
-	agg := make(map[string][]float64)
-	aggEDP := make(map[string][]float64)
-	for _, b := range benches {
-		base, err := opt.run(baseJob(b, taskrt.Software, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		// Best software configuration across schedulers.
-		optSW := base
-		for _, s := range tdmSchedulerColumns {
-			res, err := opt.run(baseJob(b, taskrt.Software, s))
-			if err != nil {
-				return nil, err
-			}
-			if res.Cycles < optSW.Cycles {
-				optSW = res
-			}
-		}
-		tdmResults := make(map[string]*core.Result, len(tdmSchedulerColumns))
-		var optTDM *core.Result
-		for _, s := range tdmSchedulerColumns {
-			res, err := opt.run(baseJob(b, taskrt.TDM, s))
-			if err != nil {
-				return nil, err
-			}
-			tdmResults[s] = res
-			if optTDM == nil || res.Cycles < optTDM.Cycles {
-				optTDM = res
-			}
-		}
-		cols := []*core.Result{optSW,
-			tdmResults[sched.FIFO], tdmResults[sched.LIFO], tdmResults[sched.Locality],
-			tdmResults[sched.Successor], tdmResults[sched.Age], optTDM}
-		names := speedup.Columns[1:]
-		rowS := []any{b.Short}
-		rowE := []any{b.Short}
-		for i, res := range cols {
-			s := stats.Speedup(base.Cycles, res.Cycles)
-			e := stats.NormalizedEDP(base.Energy.EDP, res.Energy.EDP)
-			rowS = append(rowS, s)
-			rowE = append(rowE, e)
-			agg[names[i]] = append(agg[names[i]], s)
-			aggEDP[names[i]] = append(aggEDP[names[i]], e)
-		}
-		speedup.AddRowValues(rowS...)
-		edp.AddRowValues(rowE...)
-	}
-	avgS := []any{"AVG"}
-	avgE := []any{"AVG"}
-	for _, name := range speedup.Columns[1:] {
-		avgS = append(avgS, stats.GeoMean(agg[name]))
-		avgE = append(avgE, stats.GeoMean(aggEDP[name]))
-	}
-	speedup.AddRowValues(avgS...)
-	edp.AddRowValues(avgE...)
-	return []*stats.Table{speedup, edp}, nil
+	return jobs
 }
 
 // Fig13Comparison reproduces Figure 13: speedup and normalized EDP of Carbon,
 // Task Superscalar and TDM (with the best scheduler per benchmark) over the
 // software runtime with FIFO.
 func Fig13Comparison(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
-	}
-	speedup := stats.NewTable("Figure 13 (top): speedup over software runtime with FIFO",
-		"benchmark", "Carbon", "TaskSuperscalar", "OptTDM")
-	edp := stats.NewTable("Figure 13 (bottom): normalized EDP (lower is better)",
-		"benchmark", "Carbon", "TaskSuperscalar", "OptTDM")
-	agg := make(map[string][]float64)
-	aggEDP := make(map[string][]float64)
-	for _, b := range benches {
-		base, err := opt.run(baseJob(b, taskrt.Software, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		carbon, err := opt.run(baseJob(b, taskrt.Carbon, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		tss, err := opt.run(baseJob(b, taskrt.TaskSuperscalar, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		var optTDM *core.Result
-		for _, s := range tdmSchedulerColumns {
-			res, err := opt.run(baseJob(b, taskrt.TDM, s))
-			if err != nil {
-				return nil, err
-			}
-			if optTDM == nil || res.Cycles < optTDM.Cycles {
-				optTDM = res
-			}
-		}
+	return speedupEDP(opt, fig13Points,
+		"Figure 13 (top): speedup over software runtime with FIFO",
+		"Figure 13 (bottom): normalized EDP (lower is better)",
+		[]string{"Carbon", "TaskSuperscalar", "OptTDM"},
+		func(res []*core.Result) []*core.Result {
+			return []*core.Result{res[1], res[2], fastest(res[3:])}
+		})
+}
+
+// speedupEDP renders Figures 12 and 13: a speedup table and a normalized
+// EDP table with one row per benchmark and one column per name, then AVG
+// rows of each column's geometric mean. A benchmark's point list starts with
+// the software runtime with FIFO, the baseline, and columns picks one
+// result per name from the benchmark's results.
+func speedupEDP(opt Options, l pointList, speedupTitle, edpTitle string, names []string,
+	columns func(res []*core.Result) []*core.Result) ([]*stats.Table, error) {
+	header := append([]string{"benchmark"}, names...)
+	speedup := stats.NewTable(speedupTitle, header...)
+	edp := stats.NewTable(edpTitle, header...)
+	aggS := make([][]float64, len(names))
+	aggE := make([][]float64, len(names))
+	err := opt.each(l, func(b *workloads.Benchmark, res []*core.Result) {
+		base := res[0]
 		rowS := []any{b.Short}
 		rowE := []any{b.Short}
-		for i, res := range []*core.Result{carbon, tss, optTDM} {
-			name := speedup.Columns[1+i]
-			s := stats.Speedup(base.Cycles, res.Cycles)
-			e := stats.NormalizedEDP(base.Energy.EDP, res.Energy.EDP)
+		for i, r := range columns(res) {
+			s := stats.Speedup(base.Cycles, r.Cycles)
+			e := stats.NormalizedEDP(base.Energy.EDP, r.Energy.EDP)
 			rowS = append(rowS, s)
 			rowE = append(rowE, e)
-			agg[name] = append(agg[name], s)
-			aggEDP[name] = append(aggEDP[name], e)
+			aggS[i] = append(aggS[i], s)
+			aggE[i] = append(aggE[i], e)
 		}
 		speedup.AddRowValues(rowS...)
 		edp.AddRowValues(rowE...)
+	})
+	if err != nil {
+		return nil, err
 	}
 	avgS := []any{"AVG"}
 	avgE := []any{"AVG"}
-	for _, name := range speedup.Columns[1:] {
-		avgS = append(avgS, stats.GeoMean(agg[name]))
-		avgE = append(avgE, stats.GeoMean(aggEDP[name]))
+	for i := range names {
+		avgS = append(avgS, stats.GeoMean(aggS[i]))
+		avgE = append(avgE, stats.GeoMean(aggE[i]))
 	}
 	speedup.AddRowValues(avgS...)
 	edp.AddRowValues(avgE...)
 	return []*stats.Table{speedup, edp}, nil
 }
 
-// sizeColumns builds column headers like "DAT=512".
-func sizeColumns(prefix string, sizes []int) []string {
-	out := make([]string, 0, len(sizes))
-	for _, s := range sizes {
-		out = append(out, fmt.Sprintf("%s=%d", prefix, s))
+// fastest returns the first of the results with the fewest cycles.
+func fastest(res []*core.Result) *core.Result {
+	best := res[0]
+	for _, r := range res[1:] {
+		if r.Cycles < best.Cycles {
+			best = r
+		}
 	}
-	return out
+	return best
 }

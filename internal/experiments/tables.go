@@ -4,9 +4,12 @@ import (
 	"fmt"
 
 	"repro/internal/area"
+	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/taskrt"
+	"repro/internal/workloads"
 )
 
 // TableII reproduces Table II: the number of tasks and the average task
@@ -66,37 +69,35 @@ func AreaComparison(opt Options) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
+// extraCorePoints: the software runtime, the software runtime with one
+// core added to the base machine, then TDM, all with FIFO.
+func extraCorePoints(opt Options, b *workloads.Benchmark, jobs []runner.Job) []runner.Job {
+	return append(jobs,
+		baseJob(b, taskrt.Software, sched.FIFO),
+		runner.Job{Benchmark: b.Name, Runtime: taskrt.Software, Scheduler: sched.FIFO,
+			Cores: opt.Machine.Cores + 1, Label: "extra-core"},
+		baseJob(b, taskrt.TDM, sched.FIFO))
+}
+
 // ExtraCore reproduces the Section VI-C observation that giving the software
 // runtime one extra core barely helps (0.8% on average in the paper), because
 // dependence management stays serialized on the master thread, while TDM's
 // improvement on the same core count is far larger.
 func ExtraCore(opt Options) ([]*stats.Table, error) {
-	benches, err := opt.benchmarks()
-	if err != nil {
-		return nil, err
-	}
 	t := stats.NewTable(fmt.Sprintf("Section VI-C: software runtime with %d vs %d cores",
 		opt.Machine.Cores, opt.Machine.Cores+1),
 		"benchmark", "extra-core speedup", "TDM speedup (same cores)")
 	var extraGain, tdmGain []float64
-	for _, b := range benches {
-		base, err := opt.run(baseJob(b, taskrt.Software, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
-		extra, err := opt.run(extraCoreJob(opt, b))
-		if err != nil {
-			return nil, err
-		}
-		tdm, err := opt.run(baseJob(b, taskrt.TDM, sched.FIFO))
-		if err != nil {
-			return nil, err
-		}
+	err := opt.each(extraCorePoints, func(b *workloads.Benchmark, res []*core.Result) {
+		base, extra, tdm := res[0], res[1], res[2]
 		eg := stats.Speedup(base.Cycles, extra.Cycles)
 		tg := stats.Speedup(base.Cycles, tdm.Cycles)
 		extraGain = append(extraGain, eg)
 		tdmGain = append(tdmGain, tg)
 		t.AddRowValues(b.Short, eg, tg)
+	})
+	if err != nil {
+		return nil, err
 	}
 	t.AddRowValues("AVG", stats.GeoMean(extraGain), stats.GeoMean(tdmGain))
 	return []*stats.Table{t}, nil

@@ -1,9 +1,9 @@
 // Package obs is the repository's zero-dependency observability core: a
-// small metrics library (counters, gauges, histograms with streaming
-// quantiles, labeled families) plus a Prometheus-text-format encoder and an
-// HTTP handler, so every layer of the sweep service — coordinator, workers,
-// dispatch queue, result store, the simulator itself — can expose the
-// numbers a fleet operator pages on without pulling in a client library.
+// small metrics library (counters, gauges, histograms, labeled families)
+// plus a Prometheus-text-format encoder and an HTTP handler, so every layer
+// of the sweep service — coordinator, workers, dispatch queue, result
+// store, the simulator itself — can expose the numbers a fleet operator
+// pages on without pulling in a client library.
 //
 // Instruments are nil-safe: observing on a nil *Counter, *Gauge or
 // *Histogram is a no-op, so packages can carry optional metrics fields that
@@ -174,12 +174,6 @@ func (g *Gauge) Add(v float64) {
 	addFloat(&g.bits, v)
 }
 
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -198,10 +192,9 @@ func addFloat(bits *atomic.Uint64, v float64) {
 	}
 }
 
-// Histogram accumulates observations into fixed buckets and answers
-// streaming quantile queries from them. Observations are lock-free; the
-// quantile estimate is exact to within the width of the bucket holding the
-// quantile (see Quantile). A nil *Histogram ignores all observations.
+// Histogram accumulates observations into fixed buckets, which the encoder
+// exposes with their count and sum. Observations are lock-free. A nil
+// *Histogram ignores all observations.
 type Histogram struct {
 	// bounds are the inclusive upper bounds of the finite buckets, strictly
 	// increasing; an implicit +Inf bucket catches the rest.
@@ -248,51 +241,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) of the observations by
-// linear interpolation inside the bucket holding it. The estimate is never
-// below the bucket's lower bound nor above its upper bound, so its relative
-// error is bounded by the bucket width; with ExpBuckets(_, factor, _) that
-// is a factor of at most `factor`. The two open-ended buckets have no width
-// to interpolate across and return their finite bound: a quantile landing in
-// the first bucket returns the lowest bound, one landing in the +Inf bucket
-// the highest. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if cum+n >= rank {
-			switch i {
-			case 0:
-				return h.bounds[0]
-			case len(h.bounds):
-				return h.bounds[len(h.bounds)-1]
-			}
-			lower := h.bounds[i-1]
-			frac := (rank - cum) / n
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lower + (h.bounds[i]-lower)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // snapshot returns the cumulative per-bucket counts (Prometheus `le`

@@ -3,13 +3,10 @@ package obs
 import (
 	"bytes"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -25,7 +22,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("g", "")
 	g.Set(10)
-	g.Dec()
+	g.Add(-1)
 	g.Add(-2)
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %v, want 7", got)
@@ -43,9 +40,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(1)
 	g.Set(1)
-	g.Inc()
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil instruments must read as zero")
 	}
 	var cv *CounterVec
@@ -63,66 +59,6 @@ func TestConflictingRegistrationPanics(t *testing.T) {
 	r.Gauge("m", "")
 }
 
-// exactPercentile is the reference implementation the histogram is tested
-// against: the nearest-rank percentile of the sorted sample.
-func exactPercentile(sorted []float64, q float64) float64 {
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// TestHistogramQuantileProperty checks, over random samples, that every
-// estimated quantile brackets the exact sorted-slice percentile: the
-// estimate must land inside the bucket holding the exact value, i.e. within
-// one bucket factor below it and never above its bucket's upper bound.
-func TestHistogramQuantileProperty(t *testing.T) {
-	const factor = 2.0
-	bounds := ExpBuckets(1e-3, factor, 40)
-	f := func(raw []float64, qRaw float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		// Map arbitrary floats into the histogram's finite range.
-		sample := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			v = math.Abs(v)
-			v = math.Mod(v, 1e6) + 1e-3
-			sample = append(sample, v)
-		}
-		if len(sample) == 0 {
-			return true
-		}
-		q := math.Mod(math.Abs(qRaw), 0.999) + 0.001
-		h := newHistogram(bounds)
-		for _, v := range sample {
-			h.Observe(v)
-		}
-		sorted := append([]float64(nil), sample...)
-		sort.Float64s(sorted)
-		exact := exactPercentile(sorted, q)
-		got := h.Quantile(q)
-		// The exact value's bucket is [lower, upper]; the estimate must not
-		// leave it by more than the interpolation allows: got in
-		// [exact/factor, exact*factor] is the bucket-width guarantee.
-		if got < exact/factor-1e-12 || got > exact*factor+1e-12 {
-			t.Logf("q=%v exact=%v got=%v (n=%d)", q, exact, got, len(sample))
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestHistogramQuantileKnownValues(t *testing.T) {
 	h := newHistogram([]float64{1, 2, 4, 8})
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 3, 3, 6, 20} {
@@ -133,23 +69,6 @@ func TestHistogramQuantileKnownValues(t *testing.T) {
 	}
 	if got := h.Sum(); got != 38.5 {
 		t.Fatalf("sum = %v, want 38.5", got)
-	}
-	// p50 rank = 4 → 4th observation lives in bucket (2,4]; interpolation
-	// stays inside that bucket.
-	if got := h.Quantile(0.5); got <= 2 || got > 4 {
-		t.Errorf("p50 = %v, want in (2,4]", got)
-	}
-	// p1 lands in the first bucket, which has no lower bound → clamped to
-	// the lowest bound, within the bucket factor of the 0.5 observation.
-	if got := h.Quantile(0.01); got != 1 {
-		t.Errorf("p1 = %v, want 1 (lowest bound)", got)
-	}
-	// p99 lands in the +Inf bucket → clamped to the top finite bound.
-	if got := h.Quantile(0.99); got != 8 {
-		t.Errorf("p99 = %v, want 8 (top finite bound)", got)
-	}
-	if got := (&Histogram{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", got)
 	}
 }
 

@@ -15,9 +15,9 @@ import (
 )
 
 // Engine executes jobs against a base configuration, memoizing results in an
-// optional Store and fanning independent points out over a worker pool. It
-// is the in-process Executor: Execute simulates one point, bounded by
-// Workers.
+// optional Store. It is the in-process Executor: Execute simulates one
+// point, and its Workers execution slots are the engine's one bound on
+// concurrent simulations.
 type Engine struct {
 	// Base supplies the machine, DMU and power models shared by every job.
 	// Its Runtime and Scheduler fields are overridden per job.
@@ -26,7 +26,7 @@ type Engine struct {
 	// (each RunAll call still deduplicates its own job set).
 	Store *Store
 	// Workers bounds the number of concurrently executing simulations
-	// across every caller of the engine: RunAll's pool, a sweep service's
+	// across every caller of the engine: RunAll's points, a sweep service's
 	// sweeps and a fleet worker's requests all wait for one of Workers
 	// execution slots in Execute. Zero or negative means GOMAXPROCS. Set it
 	// before the engine is first used.
@@ -47,17 +47,15 @@ type Engine struct {
 // configuration.
 func (e *Engine) Key(j Job) string { return j.Key(e.Base) }
 
-// workers resolves the worker-pool size.
-func (e *Engine) workers() int {
+// WorkerCount returns the number of execution slots (Workers, or
+// GOMAXPROCS when unset), for callers that schedule work onto the engine
+// themselves.
+func (e *Engine) WorkerCount() int {
 	if e.Workers > 0 {
 		return e.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// WorkerCount returns the resolved worker-pool size (Workers, or GOMAXPROCS
-// when unset), for callers that schedule work onto the engine themselves.
-func (e *Engine) WorkerCount() int { return e.workers() }
 
 func (e *Engine) logf(format string, args ...any) {
 	if e.Log == nil {
@@ -85,19 +83,24 @@ func (e *Engine) RunContext(ctx context.Context, j Job) (*core.Result, error) {
 }
 
 // Execute simulates a job in-process against Base, bypassing the store. It
-// first waits for one of the engine's Workers execution slots (returning
-// the context's cause if ctx ends first), then logs one progress line and
-// records execution latency and failure class. Under a context from
-// WithPrograms, the job's program comes from the context's memo once the
-// job holds its slot.
+// first waits for one of the engine's Workers execution slots, returning the
+// context's cause if ctx ends first or has ended by the time the slot is
+// taken, so no simulation starts after a cancellation. It then logs one
+// progress line and records execution latency and failure class. Under a
+// context from WithPrograms, the job's program comes from the context's
+// memo once the job holds its slot.
 func (e *Engine) Execute(ctx context.Context, j Job) (*core.Result, error) {
-	e.slotsOnce.Do(func() { e.slots = make(chan struct{}, e.workers()) })
+	e.slotsOnce.Do(func() { e.slots = make(chan struct{}, e.WorkerCount()) })
 	select {
 	case e.slots <- struct{}{}:
 	case <-ctx.Done():
 		return nil, context.Cause(ctx)
 	}
 	defer func() { <-e.slots }()
+	// select picks at random when a slot is free and ctx has ended.
+	if err := context.Cause(ctx); err != nil {
+		return nil, err
+	}
 	var start time.Time
 	if e.Metrics != nil {
 		start = time.Now()
@@ -188,88 +191,64 @@ func (m *programMemo) fill(j Job, base core.Config) Job {
 // RunAll executes a job set concurrently and returns the results in job
 // order (deterministic assembly regardless of worker count or completion
 // order). Jobs with equal keys are deduplicated: each distinct point is
-// simulated once and its result shared across all aliases. The call is one
-// WithPrograms scope, so each distinct benchmark program is generated once
-// per call and shared by every point that simulates it. Errors from
+// simulated once and its result shared across all aliases. Every distinct
+// point runs in a goroutine of its own, and Execute's Workers slots bound
+// how many simulate at once, so points may start in any order. The call is
+// one WithPrograms scope, so each distinct benchmark program is generated
+// once per call and shared by every point that simulates it. Errors from
 // distinct points are joined in job order.
 func (e *Engine) RunAll(jobs []Job) ([]*core.Result, error) {
 	return e.RunAllContext(context.Background(), jobs)
 }
 
 // RunAllContext is RunAll with cancellation: when ctx is cancelled, in-flight
-// simulations stop at their next task boundary, not-yet-started points are
-// skipped (their result slot stays nil), and the cancellation cause is
-// returned instead of the per-point error join.
+// simulations stop at their next task boundary, points not yet holding an
+// execution slot never start (their result stays nil, unless the store
+// already held it), and the cancellation cause is returned instead of the
+// per-point error join.
 func (e *Engine) RunAllContext(ctx context.Context, jobs []Job) ([]*core.Result, error) {
 	ctx = WithPrograms(ctx)
 	// Deduplicate while preserving first-occurrence order.
-	type slot struct {
-		res *core.Result
-		err error
-	}
 	byKey := make(map[string]int, len(jobs))
-	slotOf := make([]int, len(jobs))
+	pointOf := make([]int, len(jobs))
 	var unique []Job
 	var keys []string
 	for i, j := range jobs {
 		k := e.Key(j)
 		if at, ok := byKey[k]; ok {
-			slotOf[i] = at
+			pointOf[i] = at
 			continue
 		}
 		byKey[k] = len(unique)
-		slotOf[i] = len(unique)
+		pointOf[i] = len(unique)
 		unique = append(unique, j)
 		keys = append(keys, k)
 	}
 
-	slots := make([]slot, len(unique))
-	workers := e.workers()
-	if workers > len(unique) {
-		workers = len(unique)
-	}
-	work := make(chan int)
+	res := make([]*core.Result, len(unique))
+	errs := make([]error, len(unique))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, j := range unique {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if err := context.Cause(ctx); err != nil {
-					slots[i] = slot{nil, err}
-					continue
-				}
-				var res *core.Result
-				var err error
-				if e.Store == nil {
-					res, err = e.Execute(ctx, unique[i])
-				} else {
-					res, err = e.runKeyed(ctx, unique[i], keys[i])
-				}
-				slots[i] = slot{res, err}
+			if e.Store == nil {
+				res[i], errs[i] = e.Execute(ctx, j)
+			} else {
+				res[i], errs[i] = e.runKeyed(ctx, j, keys[i])
 			}
 		}()
 	}
-	for i := range unique {
-		work <- i
-	}
-	close(work)
 	wg.Wait()
 
 	out := make([]*core.Result, len(jobs))
-	var errs []error
 	for i := range jobs {
-		out[i] = slots[slotOf[i]].res
+		out[i] = res[pointOf[i]]
 	}
 	// A cancelled sweep reports the cancellation itself: the per-point
 	// errors would all restate it once per in-flight or skipped point.
 	if err := context.Cause(ctx); err != nil {
 		return out, err
-	}
-	for i := range unique {
-		if slots[i].err != nil {
-			errs = append(errs, slots[i].err)
-		}
 	}
 	return out, errors.Join(errs...)
 }

@@ -8,9 +8,11 @@
 // identical by construction — no hand-maintained cache-key discipline is
 // required, and points shared between sweeps deduplicate automatically.
 //
-// An Engine runs job sets through a worker pool sized by GOMAXPROCS and
-// memoizes results in a concurrency-safe Store, which can optionally be
-// backed by a directory of JSON files so interrupted sweeps resume warm.
+// An Engine runs each distinct point of a job set in a goroutine of its own,
+// bounds the simulations running at once by its Workers execution slots
+// (GOMAXPROCS by default), and memoizes results in a concurrency-safe Store,
+// which can optionally be backed by a directory of JSON files so interrupted
+// sweeps resume warm.
 // A Grid expands cartesian products (benchmarks x runtimes x schedulers x
 // core counts x granularities) into job sets for arbitrary user-defined
 // sweeps beyond the paper's figures.

@@ -79,10 +79,8 @@ type Tracker struct {
 	freeTasks []*taskState
 	freeDeps  []*depState
 
-	// Counters for diagnostics and tests.
-	created  int
-	finished int
-	edges    int
+	// edges counts the TDG edges discovered, for diagnostics and tests.
+	edges int
 }
 
 // NewTracker returns an empty tracker.
@@ -92,9 +90,6 @@ func NewTracker() *Tracker {
 		deps:  make(map[uint64]*depState),
 	}
 }
-
-// InFlight returns the number of created-but-not-finished tasks.
-func (t *Tracker) InFlight() int { return t.created - t.finished }
 
 // EdgesCreated returns the total number of TDG edges discovered.
 func (t *Tracker) EdgesCreated() int { return t.edges }
@@ -120,7 +115,6 @@ func (t *Tracker) CreateTask(spec *task.Spec) (CreateResult, error) {
 	}
 	*ts = taskState{id: spec.ID, succs: ts.succs[:0], deps: spec.Deps}
 	t.tasks[spec.ID] = ts
-	t.created++
 
 	res := CreateResult{DepsMatched: len(spec.Deps)}
 	for _, d := range spec.Deps {
@@ -197,7 +191,6 @@ func (t *Tracker) FinishTask(id task.ID, woken []Woken) (FinishResult, error) {
 		return FinishResult{}, fmt.Errorf("swdep: task %d finished twice", id)
 	}
 	ts.finished = true
-	t.finished++
 
 	res := FinishResult{NewlyReady: woken[:0]}
 	for _, s := range ts.succs {

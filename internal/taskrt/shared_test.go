@@ -66,23 +66,37 @@ func TestSharedProgramConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestAllocsPerTask pins the heap allocations of one cholesky run per
-// simulated task, on a program whose golden graph is already built. Each
-// bound sits less than one allocation per task above the measured count
-// (software 0.67, tdm 0.23, carbon 0.67, tasksuperscalar 0.23 on Go 1.24),
-// so a new per-task allocation on the create/schedule/execute/finish path
-// fails it.
+// TestAllocsPerTask pins the heap allocations per simulated task of a run on
+// a program whose golden graph is already built, for two programs:
+//   - cholesky, whose cores mostly find work: measured software 0.67, tdm
+//     0.23, carbon 0.67 and tasksuperscalar 0.23 on Go 1.24;
+//   - one chain of 512 dependent tasks, so at most one task is ready at a
+//     time and 31 cores keep finding none: measured software 2.21, tdm 1.49,
+//     carbon 2.16 and tasksuperscalar 1.38.
+//
+// Each bound sits less than one allocation per task above the measured
+// count, so a new per-task allocation on the create/schedule/execute/finish
+// path fails the cholesky case, and one on the idle path (an acquireTask
+// that finds nothing) fails the chain case.
 func TestAllocsPerTask(t *testing.T) {
-	bounds := map[Kind]float64{Software: 1.1, TDM: 0.7, Carbon: 1.1, TaskSuperscalar: 0.6}
-	for _, kind := range Kinds() {
-		cfg := NewConfig(kind)
-		prog := cholesky(t)
-		mustRun(t, prog, cfg) // builds the graph
-		allocs := testing.AllocsPerRun(2, func() { mustRun(t, prog, cfg) })
-		perTask := allocs / float64(prog.NumTasks())
-		if perTask > bounds[kind] {
-			t.Errorf("%s: %.2f allocations per task (%.0f for %d tasks), bound %.2f",
-				kind, perTask, allocs, prog.NumTasks(), bounds[kind])
+	cases := []struct {
+		name   string
+		prog   *task.Program
+		bounds map[Kind]float64
+	}{
+		{"cholesky", cholesky(t), map[Kind]float64{Software: 1.1, TDM: 0.7, Carbon: 1.1, TaskSuperscalar: 0.6}},
+		{"chain", chainsProgram(1, 512, 5), map[Kind]float64{Software: 2.5, TDM: 1.8, Carbon: 2.5, TaskSuperscalar: 1.7}},
+	}
+	for _, c := range cases {
+		for _, kind := range Kinds() {
+			cfg := NewConfig(kind)
+			mustRun(t, c.prog, cfg) // builds the graph
+			allocs := testing.AllocsPerRun(2, func() { mustRun(t, c.prog, cfg) })
+			perTask := allocs / float64(c.prog.NumTasks())
+			if perTask > c.bounds[kind] {
+				t.Errorf("%s/%s: %.2f allocations per task (%.0f for %d tasks), bound %.2f",
+					c.name, kind, perTask, allocs, c.prog.NumTasks(), c.bounds[kind])
+			}
 		}
 	}
 }
