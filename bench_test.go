@@ -593,7 +593,8 @@ func BenchmarkMicroServiceSubmitFirstRow(b *testing.B) {
 // sharding a two-point grid over two in-process HTTP workers, from
 // submission to the last settled point. Worker stores stay warm across
 // iterations, so the steady state times the dispatch round trips and the
-// coordinator's store and queue machinery rather than the simulations.
+// coordinator's store and queue machinery rather than the simulations. The
+// coordinator's store is cold, so every point still takes a tenant grant.
 func BenchmarkMicroServiceDispatchPoints(b *testing.B) {
 	newWorker := func() *httptest.Server {
 		eng := &runner.Engine{Base: core.DefaultConfig(core.TDM), Store: runner.NewStore(), Workers: 2}
@@ -625,11 +626,11 @@ func BenchmarkMicroServiceDispatchPoints(b *testing.B) {
 	b.ReportMetric(2, "points/op")
 }
 
-// BenchmarkMicroServiceTenantDispatch measures multi-tenant dispatch: two
-// weighted tenants contending for the service's execution slots over a warm
-// store, submission to last settled point. Every point is a store hit, so
-// this times admission, the stride scheduler's grant traffic and sweep
-// bookkeeping.
+// BenchmarkMicroServiceTenantDispatch measures two weighted tenants
+// submitting at once over a warm store, submission to last settled point.
+// Every point is resident in the store's memory tier and settles in the
+// launch loop without a grant, so this times admission, resident settles
+// and sweep bookkeeping, not the stride scheduler's grant traffic.
 func BenchmarkMicroServiceTenantDispatch(b *testing.B) {
 	engine := &runner.Engine{Base: core.DefaultConfig(core.TDM), Store: runner.NewStore(), Workers: 2}
 	srv := service.New(engine, 2)
@@ -653,7 +654,7 @@ func BenchmarkMicroServiceTenantDispatch(b *testing.B) {
 			}
 		}
 	}
-	run() // warm the store: measured iterations are pure dispatch machinery
+	run() // warm the store: measured iterations settle resident points
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run()

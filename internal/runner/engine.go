@@ -20,7 +20,8 @@ import (
 // concurrent simulations.
 type Engine struct {
 	// Base supplies the machine, DMU and power models shared by every job.
-	// Its Runtime and Scheduler fields are overridden per job.
+	// Its Runtime and Scheduler fields are overridden per job. Set it
+	// before the engine is first used: Key memoizes keys derived from it.
 	Base core.Config
 	// Store caches results across jobs and sweeps. nil disables caching
 	// (each RunAll call still deduplicates its own job set).
@@ -41,11 +42,43 @@ type Engine struct {
 	logMu     sync.Mutex
 	slotsOnce sync.Once
 	slots     chan struct{} // execution slots, sized by Workers on first use
+
+	keyMu sync.Mutex
+	keys  map[Job]string // Key's memo, by job with Label cleared
 }
 
+// keyMemoCap bounds Key's memo: it is emptied when it reaches this many
+// entries, so a long-running engine sweeping ever new points keeps it small.
+const keyMemoCap = 4096
+
 // Key returns the content-addressed key of a job under the engine's base
-// configuration.
-func (e *Engine) Key(j Job) string { return j.Key(e.Base) }
+// configuration. Keys of jobs without a DMU override or a program are
+// memoized: deriving one encodes and hashes the whole resolved
+// configuration, and a sweep service keys every point of every sweep. The
+// memo is indexed by the job itself, less the Label the key ignores, so a
+// field added to Job joins the index by construction.
+func (e *Engine) Key(j Job) string {
+	if j.DMU != nil || j.Program != nil {
+		return j.Key(e.Base)
+	}
+	j.Label = ""
+	e.keyMu.Lock()
+	k, ok := e.keys[j]
+	e.keyMu.Unlock()
+	if ok {
+		return k
+	}
+	k = j.Key(e.Base)
+	e.keyMu.Lock()
+	if e.keys == nil {
+		e.keys = make(map[Job]string)
+	} else if len(e.keys) >= keyMemoCap {
+		clear(e.keys)
+	}
+	e.keys[j] = k
+	e.keyMu.Unlock()
+	return k
+}
 
 // WorkerCount returns the number of execution slots (Workers, or
 // GOMAXPROCS when unset), for callers that schedule work onto the engine

@@ -30,3 +30,10 @@ func ProgramsByCores(ctx context.Context) map[int]int {
 	}
 	return byCores
 }
+
+// KeyMemoLen returns how many keys the engine's Key memo holds.
+func (e *Engine) KeyMemoLen() int {
+	e.keyMu.Lock()
+	defer e.keyMu.Unlock()
+	return len(e.keys)
+}

@@ -26,7 +26,7 @@ type StoreMetrics struct {
 	DiskEvictions *obs.Counter
 	// HitSeconds and MissSeconds time Store.Do by outcome: a hit resolves
 	// from a cache tier (or an in-flight computation), a miss runs the
-	// executor.
+	// executor. HitSeconds also times Store.Resident's hits.
 	HitSeconds  *obs.Histogram
 	MissSeconds *obs.Histogram
 }
@@ -40,7 +40,7 @@ func NewStoreMetrics(reg *obs.Registry) *StoreMetrics {
 		PersistFailures: reg.Counter("store_persist_failures_total", "Computed or peer-fetched results that failed to persist."),
 		MemEvictions:    reg.Counter("store_mem_evictions_total", "Results evicted from the bounded memory tier (LRU)."),
 		DiskEvictions:   reg.Counter("store_disk_evictions_total", "Result files deleted by the disk-budget GC (LRU by last access)."),
-		HitSeconds:      reg.Histogram("store_hit_seconds", "Store.Do latency when the result came from a cache tier.", obs.LatencyBuckets),
+		HitSeconds:      reg.Histogram("store_hit_seconds", "Store.Do and Store.Resident latency when the result came from a cache tier.", obs.LatencyBuckets),
 		MissSeconds:     reg.Histogram("store_miss_seconds", "Store.Do latency when the point was computed.", obs.LatencyBuckets),
 	}
 }

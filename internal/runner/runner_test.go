@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/task"
 	"repro/internal/taskrt"
@@ -296,6 +297,65 @@ func TestStoreSingleflight(t *testing.T) {
 	wg.Wait()
 	if calls != 1 {
 		t.Errorf("singleflight ran the computation %d times", calls)
+	}
+}
+
+// TestStoreResident: Resident answers from the memory tier alone and counts
+// a hit there as Do does. A result only on disk, or a key in flight, is a
+// miss at once: no disk read, no wait, nothing counted.
+func TestStoreResident(t *testing.T) {
+	dir := t.TempDir()
+	first, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Put("k", testResult(t)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewDiskStore(dir) // a reopen: "k" is on disk only
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Metrics = NewStoreMetrics(obs.NewRegistry())
+	hits := func(source string) float64 { return st.Metrics.Hits.With(source).Value() }
+	if _, ok := st.Resident("k"); ok {
+		t.Fatal("Resident served a result held on disk only")
+	}
+	if st.Len() != 0 || hits("mem") != 0 || hits("disk") != 0 || st.Metrics.Misses.Value() != 0 {
+		t.Fatalf("a Resident miss loaded or counted something: %d resident, %v mem and %v disk hits, %v misses",
+			st.Len(), hits("mem"), hits("disk"), st.Metrics.Misses.Value())
+	}
+	want, ok := st.Get("k")
+	if !ok {
+		t.Fatal("Get missed a persisted result")
+	}
+	if got, ok := st.Resident("k"); !ok || got != want {
+		t.Fatalf("Resident after Get = %p, %v; want the resident %p", got, ok, want)
+	}
+	if hits("mem") != 1 {
+		t.Errorf("store_hits_total{source=\"mem\"} = %v after one Resident hit, want 1", hits("mem"))
+	}
+
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan error)
+	go func() {
+		_, _, err := st.Do(context.Background(), "slow", func(context.Context) (*core.Result, error) {
+			close(started)
+			<-release
+			return want, nil
+		})
+		done <- err
+	}()
+	<-started
+	if _, ok := st.Resident("slow"); ok {
+		t.Error("Resident served a key still in flight")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Resident("slow"); !ok {
+		t.Error("Resident missed a key Do just computed")
 	}
 }
 

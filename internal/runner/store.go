@@ -182,16 +182,11 @@ func (s *Store) DiskBytesUsed() int64 {
 // cascading across the fleet.
 func (s *Store) Get(key string) (*core.Result, bool) {
 	s.mu.Lock()
-	if el, ok := s.mem[key]; ok {
-		s.lru.MoveToFront(el)
-		res := el.Value.(*memEntry).res
-		if s.idx != nil {
-			s.idx.touch(key, s.now().UnixNano())
-		}
-		s.mu.Unlock()
+	res, ok := s.memHitLocked(key)
+	s.mu.Unlock()
+	if ok {
 		return res, true
 	}
-	s.mu.Unlock()
 	if res, size, ok := s.load(key); ok {
 		s.touch(key)
 		s.mu.Lock()
@@ -200,6 +195,37 @@ func (s *Store) Get(key string) (*core.Result, bool) {
 		return res, true
 	}
 	return nil, false
+}
+
+// Resident returns the result for a key only if the memory tier holds it,
+// counting the hit as Do does. It never reads disk, asks peers or waits on
+// an in-flight computation, so it costs one map lookup under the store lock.
+func (s *Store) Resident(key string) (*core.Result, bool) {
+	var start time.Time
+	if s.Metrics != nil {
+		start = time.Now()
+	}
+	s.mu.Lock()
+	res, ok := s.memHitLocked(key)
+	s.mu.Unlock()
+	if ok {
+		s.noteHit("mem", start)
+	}
+	return res, ok
+}
+
+// memHitLocked serves a key from the memory tier: the entry moves to the
+// LRU front and the disk index stamps the access. Callers hold s.mu.
+func (s *Store) memHitLocked(key string) (*core.Result, bool) {
+	el, ok := s.mem[key]
+	if !ok {
+		return nil, false
+	}
+	s.lru.MoveToFront(el)
+	if s.idx != nil {
+		s.idx.touch(key, s.now().UnixNano())
+	}
+	return el.Value.(*memEntry).res, true
 }
 
 // Put stores a result under a key, persisting it when the store is
@@ -234,12 +260,7 @@ func (s *Store) Do(ctx context.Context, key string, fn func(context.Context) (*c
 	}
 	for {
 		s.mu.Lock()
-		if el, ok := s.mem[key]; ok {
-			s.lru.MoveToFront(el)
-			res := el.Value.(*memEntry).res
-			if s.idx != nil {
-				s.idx.touch(key, s.now().UnixNano())
-			}
+		if res, ok := s.memHitLocked(key); ok {
 			s.mu.Unlock()
 			s.noteHit("mem", start)
 			return res, true, nil

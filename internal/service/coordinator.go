@@ -25,7 +25,9 @@ import (
 // a sweep's leftovers once its whole fleet has died. Every result funnels
 // through the coordinator's content-addressed store: warm keys are never
 // dispatched, and completed points persist on the coordinator even when the
-// worker that computed them dies a moment later.
+// worker that computed them dies a moment later. A key resident in the
+// store's memory tier settles in the launch loop itself, without a grant, a
+// slot or a goroutine, so tenant grants count executions.
 //
 // Failure semantics: a transport failure (worker crashed, connection
 // dropped) requeues the point for another worker, while a failure of the
@@ -194,10 +196,12 @@ func (s *Server) handleListWorkers(w http.ResponseWriter, _ *http.Request) {
 }
 
 // pointTask is one queued grid point: its job index plus how many times a
-// transport failure has already bounced it between workers.
+// transport failure has already bounced it between workers. The launch loop
+// sets its key when it pulls the task.
 type pointTask struct {
 	idx      int
 	attempts int
+	key      string
 }
 
 // lane is one worker as one runPoints call sees it: the points it has in
@@ -272,11 +276,13 @@ func (ls *lanes) put(l *lane) {
 
 // runPoints executes the given jobs of a sweep (exhaustive sweeps pass every
 // index; search rungs pass their batch) over the fleet snapshot and the
-// local standby. The launch loop pulls a point, takes the point's tenant
-// grant — under contention the dispatcher decides whose point launches next
-// — then a free slot on a live worker, and runs the point in its own
-// goroutine. Grant before slot, one point at a time: a sweep's next grant
-// request waits in the dispatcher while its current points run. The queue is
+// local standby. The launch loop pulls a point and settles it at once if
+// its result is resident in the store's memory tier. Otherwise it takes the
+// point's tenant grant — under contention the dispatcher decides whose
+// point launches next — then a free slot on a live worker, and runs the
+// point in its own goroutine. Grant before slot, one point at a time: a
+// sweep's next grant request waits in the dispatcher while its current
+// points run, and resident points behind it wait too. The queue is
 // buffered to the batch size, so a requeue never blocks: at most len(idxs)
 // tasks exist at any time. A cancelled sweep stops launching at once; its
 // unstarted points stay unreported.
@@ -311,24 +317,43 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	var next pointTask // pulled and keyed ahead when ahead is set
+	ahead := false
 	for {
 		var t pointTask
-		select {
-		case t = <-queue:
-		case <-done:
-			return
-		case <-ctx.Done():
-			return
+		if ahead {
+			t, ahead = next, false
+		} else {
+			select {
+			case t = <-queue:
+			case <-done:
+				return
+			case <-ctx.Done():
+				return
+			}
+			t.key = s.engine.Key(sw.jobs[t.idx])
+		}
+		// Both yields below hand the processor to the NDJSON writer woken
+		// by a settled point and to any other runnable goroutine. Without
+		// them the loop keeps its processor from one point to the next, and
+		// the writer, and the network poller, which runs only when a
+		// processor has nothing runnable, wait until the sweep runs out of
+		// points.
+		j := sw.jobs[t.idx]
+		if st := s.engine.Store; st != nil {
+			if res, ok := st.Resident(t.key); ok {
+				// A resident point settles here, with no grant, slot or
+				// goroutine: grants count executions.
+				settle(PointOf(t.idx, j, t.key, s.engine.Base, res, nil), res)
+				runtime.Gosched()
+				continue
+			}
 		}
 		// Queue the grant request before yielding to the point launched
-		// last and to any other runnable goroutine, then wait for the grant.
-		// Without the yield, the loop and its point goroutines hand each
-		// processor straight to one another on every warm point, so the
-		// NDJSON writer woken by a settled point, and the network poller,
-		// wait until the sweep runs out of points. Queueing first keeps the
-		// tenant backlogged while the last point settles: a tenant with no
-		// queued or active grant counts as returning from idle, and its
-		// pass would jump to the busy tenants' virtual time.
+		// last, then wait for the grant. Queueing first keeps the tenant
+		// backlogged while the last point settles: a tenant with no queued
+		// or active grant counts as returning from idle, and its pass would
+		// jump to the busy tenants' virtual time.
 		g := s.disp.enqueue(sw.tenant)
 		runtime.Gosched()
 		if !s.disp.await(ctx, g) {
@@ -338,6 +363,17 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 		if l == nil {
 			s.disp.release(g)
 			return
+		}
+		// Pull and key the next point before launching this one, so the
+		// tenant stays backlogged: keying a job the engine has not keyed
+		// before allocates, and an allocation can park the loop in a GC
+		// assist for milliseconds, long enough for this point to settle
+		// before the next grant request is queued.
+		select {
+		case next = <-queue:
+			next.key = s.engine.Key(sw.jobs[next.idx])
+			ahead = true
+		default:
 		}
 		wg.Add(1)
 		go func() {
@@ -350,12 +386,13 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 }
 
 // dispatchPoint runs one pulled point on a worker through the coordinator's
-// store: warm keys settle without a dispatch, results persist on the
-// coordinator, and concurrent requests for one key share one dispatch.
+// store: keys that turn up on disk, at a peer or in flight settle without a
+// dispatch, results persist on the coordinator, and concurrent requests for
+// one key share one dispatch. Each successful dispatch feeds the simulation
+// telemetry once.
 func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 	t pointTask, attemptCap int, queue chan<- pointTask, settle func(Point, *core.Result)) {
-	j := sw.jobs[t.idx]
-	key := s.engine.Key(j)
+	j, key := sw.jobs[t.idx], t.key
 	// dispatched records whether this worker actually ran the point: a
 	// store cache hit (or waiting out another slot's in-flight dispatch of
 	// the same key) says nothing about this worker's health.
@@ -363,7 +400,11 @@ func (s *Server) dispatchPoint(ctx context.Context, sw *sweep, l *lane,
 	exec := func(ctx context.Context) (*core.Result, error) {
 		dispatched = true
 		s.met.workerDispatched.With(l.name).Inc()
-		return l.exec.Execute(ctx, j)
+		res, err := l.exec.Execute(ctx, j)
+		if err == nil {
+			s.observeSim(res)
+		}
+		return res, err
 	}
 	var res *core.Result
 	var err error

@@ -62,8 +62,8 @@ func (s *Server) initMetrics() {
 		workerFailed:     reg.CounterVec("service_worker_points_failed_total", "Dispatches that returned an error, by worker.", "worker"),
 		workerHealth:     reg.CounterVec("service_worker_health_transitions_total", "Per-sweep worker health transitions (to dead when consecutive transport failures hit the cap, back to healthy on the next successful dispatch).", "worker", "to"),
 
-		taskLatency:  reg.HistogramVec("sim_task_latency_cycles", "Per-point task queue-to-retire latency percentiles, in simulated cycles.", obs.CycleBuckets, "quantile"),
-		dmuOccupancy: reg.HistogramVec("sim_dmu_occupancy_entries", "DMU structure occupancy samples from completed points (entries in flight).", occupancyBuckets, "kind"),
+		taskLatency:  reg.HistogramVec("sim_task_latency_cycles", "Task queue-to-retire latency percentiles per executed point, in simulated cycles.", obs.CycleBuckets, "quantile"),
+		dmuOccupancy: reg.HistogramVec("sim_dmu_occupancy_entries", "DMU structure occupancy samples per executed point (entries in flight).", occupancyBuckets, "kind"),
 
 		searchRungs:   reg.Counter("search_rungs_total", "Search rungs completed across all search sweeps."),
 		searchSaved:   reg.Gauge("search_points_saved", "Cumulative grid points search sweeps avoided evaluating versus their exhaustive expansions."),
@@ -113,8 +113,8 @@ func (s *Server) queueDepth() int {
 }
 
 // settlePoint appends one finished point to its sweep and feeds the
-// service-level instruments: per-outcome point counts, submit-to-first-row
-// latency, and the simulated task-latency and DMU-occupancy distributions.
+// service-level instruments: per-outcome point counts and submit-to-first-row
+// latency.
 func (s *Server) settlePoint(sw *sweep, p Point, res *core.Result) {
 	// Search sweeps additionally capture the point's objective value for the
 	// controller to feed back to the searcher once the rung completes.
@@ -145,6 +145,13 @@ func (s *Server) settlePoint(sw *sweep, p Point, res *core.Result) {
 	if first {
 		s.met.firstRowSeconds.Observe(s.now().Sub(sw.submitted).Seconds())
 	}
+}
+
+// observeSim feeds one executed point's simulated task-latency and
+// DMU-occupancy samples to their distributions. dispatchPoint calls it once
+// per successful execution, so a result served again from a store tier adds
+// nothing.
+func (s *Server) observeSim(res *core.Result) {
 	if res == nil || res.Result == nil {
 		return
 	}

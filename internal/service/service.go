@@ -31,7 +31,8 @@
 // its local sweeps through it, and internal/remote.Client.Sweep is its
 // twin over the wire.
 //
-// Every point of every sweep runs through one launch loop: it takes its
+// Every point of every sweep runs through one launch loop: a point resident
+// in the store's memory tier settles there at once, and any other takes its
 // tenant grant, then the next free slot on any live worker. With workers
 // registered (PUT /workers, or sweepd's -peers flag) the service is a
 // coordinator dispatching to its fleet; the engine it was created with is

@@ -643,11 +643,17 @@ func TestExecuteEndpoint(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := testServer(t, nil)
-	// A finished sweep populates the service counters before the scrape.
-	resp := postJSON(t, ts.URL+"/v1/sweeps?stream=1", `{"benchmarks":["synth:blockdense:width=2,mean=200"],"runtimes":["tdm"]}`)
-	defer resp.Body.Close()
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
+	// Finished sweeps populate the service counters before the scrape. The
+	// second submission of the one-point sweep is a memory hit: it settles a
+	// row but executes nothing, so the simulation telemetry counts the point
+	// once.
+	for range 2 {
+		resp := postJSON(t, ts.URL+"/v1/sweeps?stream=1", `{"benchmarks":["synth:blockdense:width=2,mean=200"],"runtimes":["tdm"]}`)
+		_, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	mr, err := http.Get(ts.URL + "/metrics")
@@ -669,16 +675,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	// store, and the simulated task-latency distributions.
 	for _, want := range []string{
 		"# TYPE service_sweeps_submitted_total counter",
-		"service_sweeps_submitted_total 1",
+		"service_sweeps_submitted_total 2",
 		"# TYPE service_sweeps_active gauge",
 		"# TYPE service_dispatch_queue_depth gauge",
 		"# TYPE service_workers_registered gauge",
 		"# TYPE service_points_completed_total counter",
-		`service_points_completed_total{outcome="ok"} 1`,
+		`service_points_completed_total{outcome="ok"} 2`,
 		"# TYPE service_submit_to_first_row_seconds histogram",
 		"# TYPE runner_execs_total counter",
 		"runner_execs_total 1",
 		"# TYPE store_misses_total counter",
+		`store_hits_total{source="mem"} 1`,
 		"# TYPE sim_task_latency_cycles histogram",
 		`sim_task_latency_cycles_count{quantile="p50"} 1`,
 		"# TYPE sim_dmu_occupancy_entries histogram",

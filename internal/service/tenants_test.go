@@ -402,46 +402,101 @@ func TestTenantEndpoints(t *testing.T) {
 // TestTenantWeightedDrainEndToEnd: two tenants contending for one execution
 // slot drain weight-proportionally through the real submission path.
 func TestTenantWeightedDrainEndToEnd(t *testing.T) {
+	rig := holdSlot(t, runner.NewStore())
+	rig.drainWeighted(t)
+}
+
+// TestTenantResidentPointsTakeNoGrant: a sweep whose points are all
+// resident in the store's memory tier settles in the launch loop while the
+// only execution slot is held, and takes no tenant grant, so grants count
+// executions. Its tenant's misses that follow still drain 2:1 by weight.
+func TestTenantResidentPointsTakeNoGrant(t *testing.T) {
 	base := core.DefaultConfig(taskrt.Software)
-	srv := New(&runner.Engine{Base: base, Store: runner.NewStore()}, 1)
-	if _, err := srv.ConfigureTenant("heavy", TenantConfig{Weight: 2}); err != nil {
+	st := runner.NewStore()
+	resident := make([]runner.Job, 4)
+	for i := range resident {
+		resident[i] = runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.LIFO, Cores: 8 * (i + 1), Label: "heavy"}
+	}
+	if _, err := (&runner.Engine{Base: base, Store: st}).RunAll(resident); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.ConfigureTenant("light", TenantConfig{Weight: 1}); err != nil {
+	rig := holdSlot(t, st)
+	grants := rig.srv.met.tenant.grants.With("heavy")
+	before := grants.Value()
+	if before != 1 {
+		t.Fatalf("service_tenant_grants_total{tenant=\"heavy\"} = %v with the slot held, want the holder's 1", before)
+	}
+	sw, err := rig.srv.submit(resident, "heavy", TenantConfig{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+	waitSweepDone(t, sw) // the slot is still held
+	if st := sw.status(); st.State != StateDone || st.Completed != len(resident) {
+		t.Fatalf("resident sweep = %+v, want %d points completed", st, len(resident))
+	}
+	if after := grants.Value(); after != before {
+		t.Errorf("service_tenant_grants_total{tenant=\"heavy\"} moved %v -> %v for resident points", before, after)
+	}
+	rig.drainWeighted(t)
+}
 
-	var order []string
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	record := &recordExec{base: base, note: func(tenant string) {
-		<-mu
-		order = append(order, tenant)
-		mu <- struct{}{}
-	}}
-	srv.local.exec = record
+// slotRig is a one-slot server whose tenants heavy (weight 2) and light
+// (weight 1) contend for its slot, with the slot held by a heavy point.
+type slotRig struct {
+	srv     *Server
+	holder  *sweep
+	unblock chan struct{}
+	// mu guards order, the tenant of each execution in execution order.
+	mu    chan struct{}
+	order []string
+}
 
-	// Occupy the single slot so both tenants' queues build up behind it,
-	// then release: the dispatcher decides every subsequent launch. (The
-	// holder uses a third benchmark so its store key collides with nobody.)
-	hold, unblock := make(chan struct{}), make(chan struct{})
-	record.gate = func() { close(hold); <-unblock }
-	subs := make([]*sweep, 0, 3)
-	sw, err := srv.submit(grid(t, "fluidanimate", 1), "heavy", TenantConfig{}, nil)
-	if err != nil {
+// holdSlot starts a one-slot server over st whose executions note their
+// tenant, and occupies the slot with a heavy point that runs until
+// drainWeighted releases it. The holder uses a benchmark of its own, so
+// its store key collides with nobody.
+func holdSlot(t *testing.T, st *runner.Store) *slotRig {
+	t.Helper()
+	base := core.DefaultConfig(taskrt.Software)
+	rig := &slotRig{srv: New(&runner.Engine{Base: base, Store: st}, 1), unblock: make(chan struct{}), mu: make(chan struct{}, 1)}
+	for name, weight := range map[string]int{"heavy": 2, "light": 1} {
+		if _, err := rig.srv.ConfigureTenant(name, TenantConfig{Weight: weight}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rig.mu <- struct{}{}
+	hold := make(chan struct{})
+	rig.srv.local.exec = &recordExec{
+		base: base,
+		note: func(tenant string) {
+			<-rig.mu
+			rig.order = append(rig.order, tenant)
+			rig.mu <- struct{}{}
+		},
+		gate: func() { close(hold); <-rig.unblock },
+	}
+	var err error
+	if rig.holder, err = rig.srv.submit(grid(t, "fluidanimate", 1), "heavy", TenantConfig{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	subs = append(subs, sw)
-	<-hold // the slot is occupied; queues now build deterministically
-	sw2, err := srv.submit(grid(t, "histogram", 6), "heavy", TenantConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
+	<-hold
+	return rig
+}
+
+// drainWeighted queues heavy's and light's misses behind the held slot,
+// releases it once both tenants wait for a grant, and checks that the
+// dispatcher, which decides every later launch, drained them 2:1.
+func (rig *slotRig) drainWeighted(t *testing.T) {
+	t.Helper()
+	srv := rig.srv
+	subs := []*sweep{rig.holder}
+	for _, g := range [][]runner.Job{grid(t, "histogram", 6), grid(t, "cholesky", 3)} {
+		sw, err := srv.submit(g, g[0].Label, TenantConfig{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sw)
 	}
-	sw3, err := srv.submit(grid(t, "cholesky", 3), "light", TenantConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subs = append(subs, sw2, sw3)
 	// Give both launch loops time to enqueue their first grant requests.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -455,12 +510,13 @@ func TestTenantWeightedDrainEndToEnd(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(unblock)
+	close(rig.unblock)
 	for _, sw := range subs {
 		waitSweepDone(t, sw)
 	}
 
-	<-mu
+	<-rig.mu
+	order := rig.order
 	counts := map[string]int{}
 	// The first execution is the pre-contention holder; count the rest.
 	for _, tenant := range order[1:] {
