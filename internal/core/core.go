@@ -161,12 +161,7 @@ func (p BenchmarkProgram) Generate() *task.Program {
 // RunBenchmark generates the named benchmark at the optimal granularity for
 // the configured runtime (Table II) and simulates it.
 func RunBenchmark(name string, cfg Config) (*Result, error) {
-	return RunBenchmarkContext(context.Background(), name, cfg)
-}
-
-// RunBenchmarkContext is RunBenchmark with cancellation (see RunContext).
-func RunBenchmarkContext(ctx context.Context, name string, cfg Config) (*Result, error) {
-	return RunBenchmarkAtContext(ctx, name, 0, cfg)
+	return RunBenchmarkAtContext(context.Background(), name, 0, cfg)
 }
 
 // RunBenchmarkAt generates the named benchmark at an explicit granularity and

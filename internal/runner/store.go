@@ -134,9 +134,6 @@ func NewDiskStore(dir string) (*Store, error) {
 	return OpenStore(StoreOptions{Dir: dir})
 }
 
-// Dir returns the backing directory ("" for a memory-only store).
-func (s *Store) Dir() string { return s.dir }
-
 // Len returns the number of results resident in memory.
 func (s *Store) Len() int {
 	s.mu.Lock()

@@ -280,12 +280,14 @@ func (ls *lanes) put(l *lane) {
 // its result is resident in the store's memory tier. Otherwise it takes the
 // point's tenant grant — under contention the dispatcher decides whose
 // point launches next — then a free slot on a live worker, and runs the
-// point in its own goroutine. Grant before slot, one point at a time: a
-// sweep's next grant request waits in the dispatcher while its current
-// points run, and resident points behind it wait too. The queue is
-// buffered to the batch size, so a requeue never blocks: at most len(idxs)
-// tasks exist at any time. A cancelled sweep stops launching at once; its
-// unstarted points stay unreported.
+// point in its own goroutine. Before it launches a point with points left
+// to pull, it queues the sweep's next grant request, so its tenant always
+// has a request waiting when the point settles: a tenant with no queued or
+// active grant counts as returning from idle, and its pass would jump to
+// the busy tenants' virtual time. The queue is buffered to the batch size,
+// so a requeue never blocks: at most len(idxs) tasks exist at any time. A
+// cancelled sweep stops launching at once; its unstarted points stay
+// unreported.
 func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs []int) {
 	if len(idxs) == 0 {
 		return
@@ -317,21 +319,25 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	var next pointTask // pulled and keyed ahead when ahead is set
-	ahead := false
+	var ahead *grant // the sweep's next grant request, queued before a launch
+	defer func() {
+		if ahead != nil {
+			s.disp.abandon(ahead)
+		}
+	}()
 	for {
+		if ahead != nil && len(queue) == 0 {
+			// The points left were resident: nothing is left to launch.
+			s.disp.abandon(ahead)
+			ahead = nil
+		}
 		var t pointTask
-		if ahead {
-			t, ahead = next, false
-		} else {
-			select {
-			case t = <-queue:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			}
-			t.key = s.engine.Key(sw.jobs[t.idx])
+		select {
+		case t = <-queue:
+		case <-done:
+			return
+		case <-ctx.Done():
+			return
 		}
 		// Both yields below hand the processor to the NDJSON writer woken
 		// by a settled point and to any other runnable goroutine. Without
@@ -340,6 +346,7 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 		// processor has nothing runnable, wait until the sweep runs out of
 		// points.
 		j := sw.jobs[t.idx]
+		t.key = s.engine.Key(j)
 		if st := s.engine.Store; st != nil {
 			if res, ok := st.Resident(t.key); ok {
 				// A resident point settles here, with no grant, slot or
@@ -349,12 +356,11 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 				continue
 			}
 		}
-		// Queue the grant request before yielding to the point launched
-		// last, then wait for the grant. Queueing first keeps the tenant
-		// backlogged while the last point settles: a tenant with no queued
-		// or active grant counts as returning from idle, and its pass would
-		// jump to the busy tenants' virtual time.
-		g := s.disp.enqueue(sw.tenant)
+		g := ahead
+		ahead = nil
+		if g == nil {
+			g = s.disp.enqueue(sw.tenant)
+		}
 		runtime.Gosched()
 		if !s.disp.await(ctx, g) {
 			return
@@ -364,17 +370,10 @@ func (s *Server) runPoints(ctx context.Context, sw *sweep, fleet []*worker, idxs
 			s.disp.release(g)
 			return
 		}
-		// Pull and key the next point before launching this one, so the
-		// tenant stays backlogged: keying a job the engine has not keyed
-		// before allocates, and an allocation can park the loop in a GC
-		// assist for milliseconds, long enough for this point to settle
-		// before the next grant request is queued.
-		select {
-		case next = <-queue:
-			next.key = s.engine.Key(sw.jobs[next.idx])
-			ahead = true
-		default:
+		if len(queue) > 0 {
+			ahead = s.disp.enqueue(sw.tenant)
 		}
+		s.met.tenant.grants.With(sw.tenant).Inc()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -72,10 +72,12 @@ func (s *Server) initMetrics() {
 		tenant: newTenantMetrics(reg),
 	}
 	reg.GaugeFunc("service_sweeps_active", "Sweeps currently running.", func() float64 {
-		return float64(s.activeSweeps())
+		sweeps, _ := load(s.Tenants())
+		return float64(sweeps)
 	})
 	reg.GaugeFunc("service_dispatch_queue_depth", "Grid points of running sweeps not yet settled.", func() float64 {
-		return float64(s.queueDepth())
+		_, points := load(s.Tenants())
+		return float64(points)
 	})
 	reg.GaugeFunc("service_workers_registered", "Fleet workers currently registered.", func() float64 {
 		s.mu.Lock()
@@ -84,32 +86,14 @@ func (s *Server) initMetrics() {
 	})
 }
 
-// activeSweeps counts sweeps still running.
-func (s *Server) activeSweeps() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, sw := range s.sweeps {
-		if sw.status().State == StateRunning {
-			n++
-		}
+// load sums the tenants' running sweeps and their unsettled points: the
+// work the workers, registered or local, still owe.
+func load(tenants []TenantInfo) (sweeps, points int) {
+	for _, t := range tenants {
+		sweeps += t.RunningSweeps
+		points += t.ActivePoints
 	}
-	return n
-}
-
-// queueDepth sums the unsettled points of running sweeps: the work the
-// workers, registered or local, still owe.
-func (s *Server) queueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d := 0
-	for _, sw := range s.sweeps {
-		st := sw.status()
-		if st.State == StateRunning {
-			d += st.Total - st.Completed - st.Failed - st.Cancelled
-		}
-	}
-	return d
+	return sweeps, points
 }
 
 // settlePoint appends one finished point to its sweep and feeds the

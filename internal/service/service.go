@@ -83,9 +83,10 @@ type Server struct {
 	// local is the standby worker executing on engine (see coordinator.go).
 	local *worker
 
-	// disp deals execution grants across tenants, weighted-fair (see
-	// tenants.go). Every executing point — local or dispatched to the fleet —
-	// holds a grant.
+	// disp deals execution grants across tenants, weighted-fair, and owns
+	// every tenant's state, its running sweeps included (see tenants.go).
+	// Every executing point — local or dispatched to the fleet — holds a
+	// grant.
 	disp *dispatcher
 
 	// MaxBodyBytes bounds a POST /sweeps request body; larger submissions
@@ -352,33 +353,29 @@ type SubmitResponse struct {
 // submit registers a sweep for the job list and starts executing it (the
 // core of POST /sweeps). run is non-nil for search sweeps, which evaluate at
 // most the search budget instead of the full expansion — quota admission
-// charges the budget accordingly. Admission quotas are checked under the
-// same lock that registers the sweep, so concurrent submissions cannot
-// jointly slip past a tenant's budget. cfg is the caller's config snapshot
-// for tenant.
-func (s *Server) submit(jobs []runner.Job, tenant string, cfg TenantConfig, run *searchRun) (*sweep, error) {
-	points := len(jobs)
-	if run != nil {
-		points = run.searcher.Config().Budget
-	}
+// charges the budget accordingly. The dispatcher admits the sweep under the
+// same server lock that registers it, so the draining check, the ID and the
+// registration are one step with the quota check.
+func (s *Server) submit(jobs []runner.Job, tenant string, run *searchRun) (*sweep, error) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if err := s.admitLocked(tenant, cfg, points); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.nextID++
-	id := fmt.Sprintf("s%04d", s.nextID)
+	id := fmt.Sprintf("s%04d", s.nextID+1)
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
 	sw := newSweep(id, tenant, jobs, cancel, s.now())
 	if run != nil {
 		sw.search = run
-		sw.total = points
+		sw.total = run.searcher.Config().Budget
 		sw.searchSt = run.searchStatus(false)
 	}
+	if err := s.disp.admit(sw, sw.total); err != nil {
+		s.mu.Unlock()
+		cancel(nil)
+		return nil, err
+	}
+	s.nextID++
 	s.sweeps[id] = sw
 	s.order = append(s.order, id)
 	s.wg.Add(1)
@@ -407,6 +404,9 @@ func (s *Server) runSweep(ctx context.Context, sw *sweep) {
 	if ctx.Err() != nil {
 		state = StateCancelled
 	}
+	// Leave the ledger before finishing: a client that sees the sweep finish
+	// is admitted against a load without it.
+	s.disp.leave(sw)
 	sw.finish(state, s.now())
 	s.met.sweepsFinished.With(string(state)).Inc()
 	st := sw.status()
@@ -574,7 +574,7 @@ func (s *Server) open(req SubmitRequest) (*sweep, error) {
 			return nil, coded(CodeInvalidSearch, err)
 		}
 	}
-	sw, err := s.submit(grid.Jobs(), tenant, s.disp.config(tenant), run)
+	sw, err := s.submit(grid.Jobs(), tenant, run)
 	var quota *quotaError
 	if errors.As(err, &quota) {
 		s.met.tenant.rejected.With(quota.Tenant, quota.Quota).Inc()
@@ -842,6 +842,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	n := len(s.sweeps)
 	nWorkers := len(s.workers)
 	s.mu.Unlock()
+	tenants := s.Tenants()
+	active, depth := load(tenants)
 	w.Header().Set("Content-Type", "application/json")
 	if draining {
 		// The healthz body is its own documented schema, not the API error
@@ -852,10 +854,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"ok":            !draining,
 		"draining":      draining,
 		"sweeps":        n,
-		"active_sweeps": s.activeSweeps(),
-		"queue_depth":   s.queueDepth(),
+		"active_sweeps": active,
+		"queue_depth":   depth,
 		"workers":       nWorkers,
-		"tenants":       len(s.disp.names()),
+		"tenants":       len(tenants),
 	})
 }
 

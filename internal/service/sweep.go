@@ -212,6 +212,14 @@ func (s *sweep) setSearch(st *SearchStatus, final bool) {
 	s.broadcast()
 }
 
+// unsettled is the sweep's load on its tenant's quotas: the points it has
+// yet to settle.
+func (s *sweep) unsettled() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.total - s.pointRows
+}
+
 // finish moves the sweep to its terminal state.
 func (s *sweep) finish(state State, now time.Time) {
 	s.mu.Lock()

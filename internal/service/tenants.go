@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -22,9 +22,11 @@ import (
 // receives two grants for every one a weight-1 tenant gets, regardless of
 // queue lengths or submission order.
 //
-// Quotas are enforced at admission (POST /sweeps): a tenant over its
-// MaxQueuedSweeps or MaxActivePoints budget gets 429 with a machine-readable
-// body (see quotaError). Lowering a tenant's quotas below its current load
+// The dispatcher is the one owner of tenant state: besides the grant queues
+// it keeps each tenant's running sweeps, and checks every submission
+// (POST /sweeps) against them. A tenant over its MaxQueuedSweeps or
+// MaxActivePoints budget gets 429 with a machine-readable body (see
+// quotaError). Lowering a tenant's quotas below its current load
 // (PUT /tenants/{id}) preempts the tenant's newest sweeps — cancelled through
 // the same per-sweep cancel plumbing as POST /sweeps/{id}/cancel, so their
 // in-flight points stop at the next task boundary — and never touches any
@@ -75,8 +77,8 @@ func (c TenantConfig) validate() error {
 type TenantInfo struct {
 	Name string `json:"name"`
 	TenantConfig
-	// Active is the tenant's outstanding execution grants (points running
-	// right now); Queued is its grants waiting for capacity.
+	// Active is the tenant's execution grants outstanding; Queued is its
+	// grants waiting for capacity.
 	Active int `json:"active"`
 	Queued int `json:"queued"`
 	// RunningSweeps counts the tenant's admitted, unfinished sweeps.
@@ -107,7 +109,7 @@ func (e *quotaError) Error() string { return e.msg }
 type tenantMetrics struct {
 	queued      *obs.GaugeVec   // tenant: grants waiting for capacity
 	active      *obs.GaugeVec   // tenant: grants outstanding
-	grants      *obs.CounterVec // tenant
+	grants      *obs.CounterVec // tenant: points launched on a grant (runPoints)
 	rejected    *obs.CounterVec // tenant, quota
 	preemptions *obs.CounterVec // tenant
 }
@@ -115,8 +117,8 @@ type tenantMetrics struct {
 func newTenantMetrics(reg *obs.Registry) *tenantMetrics {
 	return &tenantMetrics{
 		queued:      reg.GaugeVec("service_tenant_queue_depth", "Execution grants waiting for capacity, by tenant.", "tenant"),
-		active:      reg.GaugeVec("service_tenant_active_points", "Execution grants outstanding (points running), by tenant.", "tenant"),
-		grants:      reg.CounterVec("service_tenant_grants_total", "Execution grants issued, by tenant.", "tenant"),
+		active:      reg.GaugeVec("service_tenant_active_points", "Execution grants outstanding, by tenant.", "tenant"),
+		grants:      reg.CounterVec("service_tenant_grants_total", "Execution grants used to launch a point, by tenant.", "tenant"),
 		rejected:    reg.CounterVec("service_tenant_rejected_total", "Submissions rejected 429 by tenant and quota (max_active_points, max_queued_sweeps).", "tenant", "quota"),
 		preemptions: reg.CounterVec("service_tenant_preemptions_total", "Sweeps preempted because their tenant's quotas were lowered below its load.", "tenant"),
 	}
@@ -139,14 +141,43 @@ type tenantState struct {
 	pass   float64 // stride scheduler virtual time; next grant goes to min pass
 	queue  []*grant
 	active int
+	// running is the tenant's ledger: its admitted, unfinished sweeps in
+	// submission order.
+	running []*sweep
 }
 
-// dispatcher deals execution grants across tenants, weighted-fair. Capacity
-// is the total number of outstanding grants allowed: the local worker's
-// slots plus every registered worker's slots, so the dispatcher decides
-// *whose* points run whenever the execution layer is saturated, and never
-// itself becomes the bottleneck.
+// load sums the unsettled points of the tenant's running sweeps; callers
+// hold d.mu.
+func (st *tenantState) load() int {
+	n := 0
+	for _, sw := range st.running {
+		n += sw.unsettled()
+	}
+	return n
+}
+
+// info is the tenant's listing entry; callers hold d.mu.
+func (st *tenantState) info(name string) TenantInfo {
+	return TenantInfo{
+		Name:          name,
+		TenantConfig:  st.cfg,
+		Active:        st.active,
+		Queued:        len(st.queue),
+		RunningSweeps: len(st.running),
+		ActivePoints:  st.load(),
+	}
+}
+
+// dispatcher deals execution grants across tenants, weighted-fair, and keeps
+// each tenant's ledger of running sweeps. Capacity is the total number of
+// outstanding grants allowed: the local worker's slots plus every registered
+// worker's slots, so the dispatcher decides *whose* points run whenever the
+// execution layer is saturated, and never itself becomes the bottleneck.
 type dispatcher struct {
+	// mu guards the dispatcher and every tenant's state. The lock order is
+	// s.mu → d.mu → sw.mu: Server.submit admits a sweep under the server
+	// lock, and the ledger reads each running sweep's load under mu. Nothing
+	// takes these locks in any other order.
 	mu       sync.Mutex
 	capacity int
 	free     int
@@ -164,52 +195,72 @@ func newDispatcher(capacity int) *dispatcher {
 	return d
 }
 
-// configure creates or updates a tenant. Weight changes apply from the next
-// grant; pass values carry over so a reconfiguration cannot be used to jump
-// the queue.
-func (d *dispatcher) configure(name string, cfg TenantConfig) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// tenant returns the named tenant's state; an unknown name joins with the
+// default config (weight 1, no quotas). Callers hold d.mu.
+func (d *dispatcher) tenant(name string) *tenantState {
 	st, ok := d.tenants[name]
 	if !ok {
 		st = &tenantState{}
 		d.tenants[name] = st
 	}
+	return st
+}
+
+// configure creates or updates a tenant and returns the running sweeps that
+// no longer fit its quotas, oldest first: its newest sweeps, taken one at a
+// time until the rest fit. Weight changes apply from the next grant; pass
+// values carry over so a reconfiguration cannot be used to jump the queue.
+func (d *dispatcher) configure(name string, cfg TenantConfig) []*sweep {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	st := d.tenant(name)
 	st.cfg = cfg
 	d.schedule()
+	// Dropping the newest sweeps until the rest fit keeps the longest
+	// prefix of the ledger that fits.
+	keep, points := 0, 0
+	for _, sw := range st.running {
+		points += sw.unsettled()
+		if (cfg.MaxQueuedSweeps > 0 && keep == cfg.MaxQueuedSweeps) ||
+			(cfg.MaxActivePoints > 0 && points > cfg.MaxActivePoints) {
+			break
+		}
+		keep++
+	}
+	return slices.Clone(st.running[keep:])
 }
 
-// config returns the tenant's config (zero value — weight 1, no quotas — for
-// tenants never configured).
-func (d *dispatcher) config(name string) TenantConfig {
+// admit checks a new sweep against its tenant's quotas (points is what the
+// sweep will settle) and enters it in the tenant's ledger if it fits.
+func (d *dispatcher) admit(sw *sweep, points int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if st, ok := d.tenants[name]; ok {
-		return st.cfg
+	st := d.tenant(sw.tenant)
+	cfg := st.cfg
+	if n := len(st.running); cfg.MaxQueuedSweeps > 0 && n >= cfg.MaxQueuedSweeps {
+		return &quotaError{
+			Tenant: sw.tenant, Quota: "max_queued_sweeps", Limit: cfg.MaxQueuedSweeps,
+			msg: fmt.Sprintf("tenant %q already has %d running sweeps (quota %d)", sw.tenant, n, cfg.MaxQueuedSweeps),
+		}
 	}
-	return TenantConfig{}
+	if cfg.MaxActivePoints > 0 {
+		if load := st.load(); load+points > cfg.MaxActivePoints {
+			return &quotaError{
+				Tenant: sw.tenant, Quota: "max_active_points", Limit: cfg.MaxActivePoints,
+				msg: fmt.Sprintf("tenant %q has %d active points; %d more would exceed quota %d", sw.tenant, load, points, cfg.MaxActivePoints),
+			}
+		}
+	}
+	st.running = append(st.running, sw)
+	return nil
 }
 
-// names returns the known tenants, sorted.
-func (d *dispatcher) names() []string {
+// leave removes a finishing sweep from its tenant's ledger.
+func (d *dispatcher) leave(sw *sweep) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.tenants))
-	for name := range d.tenants {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// counts returns a tenant's outstanding and queued grants.
-func (d *dispatcher) counts(name string) (active, queued int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if st, ok := d.tenants[name]; ok {
-		return st.active, len(st.queue)
-	}
-	return 0, 0
+	st := d.tenants[sw.tenant]
+	st.running = slices.DeleteFunc(st.running, func(r *sweep) bool { return r == sw })
 }
 
 // setCapacity resizes the grant pool (the fleet grew or shrank). Shrinking
@@ -225,16 +276,10 @@ func (d *dispatcher) setCapacity(n int) {
 
 // enqueue appends a grant request for a tenant and schedules. The grant may
 // already be issued on return (ch closed); otherwise it waits its turn.
-// Tenants submit through enqueue without prior configuration — an unknown
-// name joins with the default config.
 func (d *dispatcher) enqueue(tenant string) *grant {
 	g := &grant{tenant: tenant, ch: make(chan struct{})}
 	d.mu.Lock()
-	st, ok := d.tenants[tenant]
-	if !ok {
-		st = &tenantState{}
-		d.tenants[tenant] = st
-	}
+	st := d.tenant(tenant)
 	if len(st.queue) == 0 && st.active == 0 {
 		// A tenant returning from idle starts at the busy tenants' virtual
 		// time instead of the stale pass it left off at, so idleness does not
@@ -327,7 +372,6 @@ func (d *dispatcher) schedule() {
 		if d.met != nil {
 			d.met.queued.With(bestName).Set(float64(len(best.queue)))
 			d.met.active.With(bestName).Set(float64(best.active))
-			d.met.grants.With(bestName).Inc()
 		}
 	}
 }
@@ -380,8 +424,9 @@ func normalizeTenant(name string) (string, error) {
 
 // ConfigureTenant creates or updates a tenant, then enforces the (possibly
 // lowered) quotas against the tenant's current load by preempting its newest
-// running sweeps until it fits. It returns the IDs of the sweeps preempted.
-// Other tenants' sweeps are never candidates.
+// running sweeps until it fits. It returns the IDs of the sweeps preempted,
+// oldest first. Cancellation uses each sweep's own cancel scope, so only
+// that sweep's points stop; other tenants' sweeps are never candidates.
 func (s *Server) ConfigureTenant(name string, cfg TenantConfig) ([]string, error) {
 	name, err := normalizeTenant(name)
 	if err == nil {
@@ -390,128 +435,29 @@ func (s *Server) ConfigureTenant(name string, cfg TenantConfig) ([]string, error
 	if err != nil {
 		return nil, coded(CodeInvalidTenant, err)
 	}
-	s.disp.configure(name, cfg)
-	preempted := s.preemptOverQuota(name, cfg)
-	for _, id := range preempted {
+	var preempted []string
+	for _, sw := range s.disp.configure(name, cfg) {
+		sw.cancel(fmt.Errorf("sweep %s preempted: tenant %q over quota after reconfiguration", sw.id, name))
+		preempted = append(preempted, sw.id)
 		s.met.tenant.preemptions.With(name).Inc()
 		s.log().Warn("sweep preempted: tenant over lowered quota",
-			"tenant", name, "sweep", id)
+			"tenant", name, "sweep", sw.id)
 	}
 	return preempted, nil
 }
 
-// preemptOverQuota cancels the tenant's newest running sweeps until the
-// tenant fits its quotas, returning their IDs (oldest first). Cancellation
-// uses each sweep's own cancel scope, so only that sweep's points stop.
-func (s *Server) preemptOverQuota(name string, cfg TenantConfig) []string {
-	if cfg.MaxQueuedSweeps == 0 && cfg.MaxActivePoints == 0 {
-		return nil
-	}
-	type loaded struct {
-		sw     *sweep
-		points int
-	}
-	s.mu.Lock()
-	var running []loaded // submission order
-	points := 0
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		if sw.tenant != name {
-			continue
-		}
-		st := sw.status()
-		if st.State != StateRunning {
-			continue
-		}
-		p := st.Total - st.Completed - st.Failed - st.Cancelled
-		running = append(running, loaded{sw, p})
-		points += p
-	}
-	s.mu.Unlock()
-
-	var victims []*sweep
-	for len(running) > 0 {
-		over := (cfg.MaxQueuedSweeps > 0 && len(running) > cfg.MaxQueuedSweeps) ||
-			(cfg.MaxActivePoints > 0 && points > cfg.MaxActivePoints)
-		if !over {
-			break
-		}
-		last := running[len(running)-1]
-		running = running[:len(running)-1]
-		points -= last.points
-		victims = append(victims, last.sw)
-	}
-	ids := make([]string, 0, len(victims))
-	for i := len(victims) - 1; i >= 0; i-- { // oldest first in the response
-		sw := victims[i]
-		sw.cancel(fmt.Errorf("sweep %s preempted: tenant %q over quota after reconfiguration", sw.id, name))
-		ids = append(ids, sw.id)
-	}
-	return ids
-}
-
-// Tenants lists every known tenant with its config and live load, sorted by
-// name.
+// Tenants lists every known tenant — configured, or with an admitted sweep —
+// with its config and live load, sorted by name.
 func (s *Server) Tenants() []TenantInfo {
-	names := s.disp.names()
-	out := make([]TenantInfo, 0, len(names))
-	for _, name := range names {
-		out = append(out, s.tenantInfo(name))
+	d := s.disp
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make([]TenantInfo, 0, len(d.tenants))
+	for name, st := range d.tenants {
+		out = append(out, st.info(name))
 	}
+	slices.SortFunc(out, func(a, b TenantInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
-}
-
-func (s *Server) tenantInfo(name string) TenantInfo {
-	active, queued := s.disp.counts(name)
-	s.mu.Lock()
-	sweeps, points := s.tenantLoadLocked(name)
-	s.mu.Unlock()
-	return TenantInfo{
-		Name:          name,
-		TenantConfig:  s.disp.config(name),
-		Active:        active,
-		Queued:        queued,
-		RunningSweeps: sweeps,
-		ActivePoints:  points,
-	}
-}
-
-// tenantLoadLocked counts the tenant's running sweeps and their unsettled
-// points; callers hold s.mu.
-func (s *Server) tenantLoadLocked(name string) (sweeps, points int) {
-	for _, sw := range s.sweeps {
-		if sw.tenant != name {
-			continue
-		}
-		st := sw.status()
-		if st.State != StateRunning {
-			continue
-		}
-		sweeps++
-		points += st.Total - st.Completed - st.Failed - st.Cancelled
-	}
-	return sweeps, points
-}
-
-// admitLocked checks the tenant's quotas against its current load plus the
-// new submission; callers hold s.mu. cfg is the caller's snapshot (taken
-// before s.mu, preserving lock order: the dispatcher lock is never held
-// together with the server lock).
-func (s *Server) admitLocked(tenant string, cfg TenantConfig, newPoints int) error {
-	sweeps, points := s.tenantLoadLocked(tenant)
-	if cfg.MaxQueuedSweeps > 0 && sweeps >= cfg.MaxQueuedSweeps {
-		return &quotaError{
-			Tenant: tenant, Quota: "max_queued_sweeps", Limit: cfg.MaxQueuedSweeps,
-			msg: fmt.Sprintf("tenant %q already has %d running sweeps (quota %d)", tenant, sweeps, cfg.MaxQueuedSweeps),
-		}
-	}
-	if cfg.MaxActivePoints > 0 && points+newPoints > cfg.MaxActivePoints {
-		return &quotaError{
-			Tenant: tenant, Quota: "max_active_points", Limit: cfg.MaxActivePoints,
-			msg: fmt.Sprintf("tenant %q has %d active points; %d more would exceed quota %d", tenant, points, newPoints, cfg.MaxActivePoints),
-		}
-	}
-	return nil
 }
 
 func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
@@ -536,6 +482,9 @@ func (s *Server) handleConfigureTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name, _ := normalizeTenant(r.PathValue("id"))
+	s.disp.mu.Lock()
+	info := s.disp.tenants[name].info(name)
+	s.disp.mu.Unlock()
 	s.log().Info("tenant configured",
 		"req", requestID(r.Context()), "tenant", name,
 		"weight", cfg.Weight, "max_active_points", cfg.MaxActivePoints,
@@ -544,5 +493,5 @@ func (s *Server) handleConfigureTenant(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct {
 		TenantInfo
 		Preempted []string `json:"preempted,omitempty"`
-	}{s.tenantInfo(name), preempted})
+	}{info, preempted})
 }

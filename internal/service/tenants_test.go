@@ -2,8 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,7 +168,7 @@ func TestDispatcherAbandon(t *testing.T) {
 	if d.await(ctx, d.enqueue("a")) {
 		t.Error("await succeeded under a dead context with no capacity")
 	}
-	if _, queued := d.counts("a"); queued != 0 {
+	if queued := queuedGrants(d, "a"); queued != 0 {
 		t.Errorf("%d grants still queued after await gave up", queued)
 	}
 	_ = hold
@@ -343,6 +347,132 @@ func TestTenantPreemption(t *testing.T) {
 	}
 }
 
+// TestTenantConcurrentAdmission: submissions racing for a tenant's last
+// sweep slots cannot jointly slip past its quota: the ledger admits exactly
+// MaxQueuedSweeps of them and rejects the rest with the quota envelope.
+func TestTenantConcurrentAdmission(t *testing.T) {
+	srv, gate, url := gatedServer(t)
+	defer close(gate.release)
+	if _, err := srv.ConfigureTenant("acme", TenantConfig{MaxQueuedSweeps: 3}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	codes := make([]int, n)
+	bodies := make([]quotaBody, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			body := fmt.Sprintf(`{"benchmarks": ["histogram"], "runtimes": ["software"], "cores": [%d], "tenant": "acme"}`, 8*(i+1))
+			resp, err := http.Post(url+"/v1/sweeps", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			codes[i] = resp.StatusCode
+			if resp.StatusCode == http.StatusTooManyRequests {
+				if err := json.NewDecoder(resp.Body).Decode(&bodies[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	accepted := 0
+	for i, code := range codes {
+		switch code {
+		case http.StatusAccepted:
+			accepted++
+		case http.StatusTooManyRequests:
+			if b := bodies[i]; b.Tenant != "acme" || b.Quota != "max_queued_sweeps" || b.Limit != 3 || b.Error == "" {
+				t.Errorf("429 body = %+v", b)
+			}
+		default:
+			t.Errorf("submission %d status = %d, want 202 or 429", i, code)
+		}
+	}
+	if accepted != 3 {
+		t.Errorf("%d of %d racing submissions admitted, want the quota's 3 (statuses %v)", accepted, n, codes)
+	}
+	running := -1
+	for _, ti := range srv.Tenants() {
+		if ti.Name == "acme" {
+			running = ti.RunningSweeps
+		}
+	}
+	if running != 3 {
+		t.Errorf("acme running sweeps = %d, want 3", running)
+	}
+}
+
+// TestTenantKnownFromAdmission: a tenant nobody configured is listed from
+// its first admitted sweep, even one whose only point was resident and so
+// never asked for a grant.
+func TestTenantKnownFromAdmission(t *testing.T) {
+	srv, gate, _ := gatedServer(t)
+	j := runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO}
+	if err := srv.engine.Store.Put(srv.engine.Key(j), gate.res); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := srv.submit([]runner.Job{j}, "newcomer", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweepDone(t, sw)
+	if st := sw.status(); st.State != StateDone || st.Completed != 1 {
+		t.Fatalf("resident sweep = %+v, want its one point completed", st)
+	}
+	var names []string
+	for _, ti := range srv.Tenants() {
+		names = append(names, ti.Name)
+	}
+	if strings.Join(names, " ") != "default newcomer" {
+		t.Errorf("tenant listing = %v, want [default newcomer]", names)
+	}
+}
+
+// TestCancelWithdrawsGrantQueuedAhead: a launch loop that launched a point
+// with points left holds its sweep's next grant request; cancelled while it
+// settles the resident points behind, the loop may return from its pull
+// with that request still queued or issued. Whichever path it takes, once
+// the sweep finishes every grant is back and the tenant has none queued or
+// outstanding.
+func TestCancelWithdrawsGrantQueuedAhead(t *testing.T) {
+	srv, gate, _ := gatedServer(t)
+	defer close(gate.release)
+	resident := make([]runner.Job, 200)
+	for i := range resident {
+		resident[i] = runner.Job{Benchmark: "histogram", Runtime: taskrt.Software, Scheduler: sched.FIFO, Cores: 8 * (i + 1)}
+		if err := srv.engine.Store.Put(srv.engine.Key(resident[i]), gate.res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := srv.disp
+	for round := range 200 {
+		// A fresh miss each round: it blocks at the gate until cancelled.
+		miss := runner.Job{Benchmark: "cholesky", Runtime: taskrt.Software, Scheduler: sched.FIFO, Cores: 8 * (round + 1)}
+		sw, err := srv.submit(append([]runner.Job{miss}, resident...), "acme", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw.cancel(errors.New("cancelled by the test"))
+		waitSweepDone(t, sw)
+		d.mu.Lock()
+		free, capacity := d.free, d.capacity
+		active, queued := d.tenants["acme"].active, len(d.tenants["acme"].queue)
+		d.mu.Unlock()
+		if free != capacity || active != 0 || queued != 0 {
+			t.Fatalf("round %d: %d of %d grants free, acme has %d active and %d queued after its cancelled sweep finished",
+				round, free, capacity, active, queued)
+		}
+	}
+}
+
 // TestTenantEndpoints: GET /tenants lists configs and load; PUT validates.
 func TestTenantEndpoints(t *testing.T) {
 	_, ts := testServer(t, nil)
@@ -426,7 +556,7 @@ func TestTenantResidentPointsTakeNoGrant(t *testing.T) {
 	if before != 1 {
 		t.Fatalf("service_tenant_grants_total{tenant=\"heavy\"} = %v with the slot held, want the holder's 1", before)
 	}
-	sw, err := rig.srv.submit(resident, "heavy", TenantConfig{}, nil)
+	sw, err := rig.srv.submit(resident, "heavy", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +606,7 @@ func holdSlot(t *testing.T, st *runner.Store) *slotRig {
 		gate: func() { close(hold); <-rig.unblock },
 	}
 	var err error
-	if rig.holder, err = rig.srv.submit(grid(t, "fluidanimate", 1), "heavy", TenantConfig{}, nil); err != nil {
+	if rig.holder, err = rig.srv.submit(grid(t, "fluidanimate", 1), "heavy", nil); err != nil {
 		t.Fatal(err)
 	}
 	<-hold
@@ -485,13 +615,14 @@ func holdSlot(t *testing.T, st *runner.Store) *slotRig {
 
 // drainWeighted queues heavy's and light's misses behind the held slot,
 // releases it once both tenants wait for a grant, and checks that the
-// dispatcher, which decides every later launch, drained them 2:1.
+// dispatcher, which decides every later launch, drained them 2:1 in stride
+// order.
 func (rig *slotRig) drainWeighted(t *testing.T) {
 	t.Helper()
 	srv := rig.srv
 	subs := []*sweep{rig.holder}
 	for _, g := range [][]runner.Job{grid(t, "histogram", 6), grid(t, "cholesky", 3)} {
-		sw, err := srv.submit(g, g[0].Label, TenantConfig{}, nil)
+		sw, err := srv.submit(g, g[0].Label, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,9 +631,7 @@ func (rig *slotRig) drainWeighted(t *testing.T) {
 	// Give both launch loops time to enqueue their first grant requests.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, hq := srv.disp.counts("heavy")
-		_, lq := srv.disp.counts("light")
-		if hq > 0 && lq > 0 {
+		if queuedGrants(srv.disp, "heavy") > 0 && queuedGrants(srv.disp, "light") > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -525,20 +654,24 @@ func (rig *slotRig) drainWeighted(t *testing.T) {
 	if counts["heavy"] != 6 || counts["light"] != 3 {
 		t.Fatalf("executions %v, want heavy=6 light=3 (order %v)", counts, order)
 	}
-	// Weight-2 heavy keeps its 2:1 stride share: after each prefix of the
-	// contended drain it has at least twice light's grants, less one (light
-	// may take its grant before heavy's second of a stride).
-	heavy, light := 0, 0
-	for _, tenant := range order[1:] {
-		if tenant == "heavy" {
-			heavy++
-		} else {
-			light++
-		}
-		if 2*light > heavy+1 {
-			t.Fatalf("light took more than its 1:2 share in drain order %v", order)
-		}
+	// Both tenants wait at pass 0.5: heavy's holder took its first stride
+	// and light joined at the busy tenants' virtual time. Each launch queues
+	// its sweep's next request before the point can settle, so the order is
+	// exactly the stride order at weights 2:1, ties to heavy.
+	want := "heavy light heavy heavy light heavy heavy light heavy"
+	if got := strings.Join(order[1:], " "); got != want {
+		t.Fatalf("drain order\n got %s\nwant %s", got, want)
 	}
+}
+
+// queuedGrants reads a tenant's grant requests waiting for capacity.
+func queuedGrants(d *dispatcher, tenant string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if st, ok := d.tenants[tenant]; ok {
+		return len(st.queue)
+	}
+	return 0
 }
 
 // recordExec notes each executed point's tenant (via the note callback) and
